@@ -27,7 +27,6 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DensityInput, DimensionMismatch, ZeroNorm
 from .functionals import (
-    BIPARTITE_KINDS,
     LINEAR,
     Functional,
     Kind,
@@ -112,7 +111,7 @@ def sos_certificate(
     """
     if state.kind != "pure":
         raise DensityInput("certificates are assembled on pure states")
-    parties = 1 if f.kind in BIPARTITE_KINDS else f.n
+    parties = f.parties
     dims = state.subsystem_dims
     if len(dims) != parties + 1:
         raise DimensionMismatch(
@@ -121,19 +120,13 @@ def sos_certificate(
     central_dim = dims[-1]
     psi = state.data
 
+    sums = [
+        f.signed_sums(k, [o.matrix for o in observables.edge[k]])
+        for k in range(parties)
+    ]
     omegas, weights, residuals, correlators, ms = [], [], [], [], []
-    for term in f.terms:
-        edge_ops = []
-        for k in range(parties):
-            combo = sum(
-                c * observables.edge[k][x].matrix
-                for x, c in enumerate(term.signs[k])
-                if c
-            )
-            if isinstance(combo, int):
-                combo = np.zeros((dims[k], dims[k]), dtype=complex)
-            edge_ops.append(combo)
-        t_edge = tensor_all(edge_ops + [np.eye(central_dim)])
+    for i, term in enumerate(f.terms):
+        t_edge = tensor_all([s[i] for s in sums] + [np.eye(central_dim)])
         b_full = tensor_all(
             [np.eye(d) for d in dims[:-1]]
             + [observables.central[term.central_input].matrix]

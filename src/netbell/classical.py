@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeEntry, SearchSpaceTooLarge, ShapeMismatch
-from .functionals import BIPARTITE_KINDS, LINEAR, Functional, combine
+from .functionals import LINEAR, Functional, combine
 
 SEARCH_SPACE_GUARD = 2**34
 _CHUNK = 1 << 16
@@ -45,10 +45,6 @@ class HiddenVariableModel:
     central_responses: np.ndarray
 
 
-def _n_parties(f: Functional) -> int:
-    return 1 if f.kind in BIPARTITE_KINDS else f.n
-
-
 def _check_pm_one(arr: np.ndarray, what: str) -> None:
     if not np.all(np.abs(arr) == 1):
         raise ShapeMismatch(f"{what} entries must be +1 or -1")
@@ -56,7 +52,7 @@ def _check_pm_one(arr: np.ndarray, what: str) -> None:
 
 def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
     """Functional value of one deterministic strategy."""
-    parties = _n_parties(f)
+    parties = f.parties
     if len(s.edge_responses) != parties:
         raise ShapeMismatch(
             f"need {parties} edge response tables, got {len(s.edge_responses)}"
@@ -116,7 +112,7 @@ def enumerate_deterministic_max(
     """Exact maximum over all deterministic strategies with a deterministic
     witness (the lexicographically smallest maximizer, entries ordered edge
     party by edge party and then central, with -1 before +1)."""
-    parties = _n_parties(f)
+    parties = f.parties
     m, n_terms = f.m, f.n_terms
     space = (2**m) ** parties * 2**f.n_central_inputs
     if space > SEARCH_SPACE_GUARD:
@@ -159,7 +155,7 @@ def enumerate_deterministic_max(
 
 def eval_model(f: Functional, model: HiddenVariableModel) -> float:
     """Functional value of a finite n-local mixture."""
-    parties = _n_parties(f)
+    parties = f.parties
     if len(model.weights) != parties or len(model.edge_responses) != parties:
         raise ShapeMismatch(f"model must carry {parties} sources")
     letters = "abcdefgh"
@@ -199,7 +195,7 @@ def random_model(
 ) -> HiddenVariableModel:
     """Random n-local mixture: Dirichlet-uniform weights per source and
     uniform +1/-1 response tables."""
-    parties = _n_parties(f)
+    parties = f.parties
     s = int(support_size)
     weights = tuple(rng.dirichlet(np.ones(s)) for _ in range(parties))
     edge = tuple(

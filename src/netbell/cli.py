@@ -176,7 +176,7 @@ def cmd_optimize(args) -> int:
     started = time.perf_counter()
     f = _build_functional_from_args(args)
     if args.model == "vector":
-        ambient = args.ambient if args.ambient else f.m
+        ambient = f.m if args.ambient is None else args.ambient
         value, model = vector_model_optimize(f, ambient=ambient, seed=args.seed)
         artifacts = {
             "model": "vector",

@@ -91,9 +91,23 @@ class Functional:
     def n_central_inputs(self) -> int:
         return max(t.central_input for t in self.terms) + 1
 
+    @property
+    def parties(self) -> int:
+        """Number of edge parties: one for bipartite kinds, n otherwise."""
+        return 1 if self.kind in BIPARTITE_KINDS else self.n
+
     def coefficient_matrix(self, party: int) -> np.ndarray:
         """Term-by-setting sign coefficients for one edge party."""
         return np.array([t.signs[party] for t in self.terms], dtype=float)
+
+    def signed_sums(self, party: int, observables: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-term signed observable sums sum_x c[t, x] A_x of one edge
+        party, stacked as (terms, d, d); all-zero rows give zero matrices."""
+        return np.einsum(
+            "tx,xab->tab",
+            self.coefficient_matrix(party),
+            np.asarray(observables, dtype=complex),
+        )
 
 
 @dataclass(frozen=True)
@@ -146,9 +160,9 @@ def build_functional(kind: Kind | str, m: int, n: int = 1) -> Functional:
     else:
         rows = _chained_signs(m)
 
-    parties = 1 if kind in BIPARTITE_KINDS else n
+    # n is 1 for the bipartite kinds (checked above), so it counts the parties.
     terms = tuple(
-        TermSpec(signs=tuple([row] * parties), central_input=i)
+        TermSpec(signs=tuple([row] * n), central_input=i)
         for i, row in enumerate(rows)
     )
     combiner = LINEAR if kind in BIPARTITE_KINDS else ROOT_SUM
@@ -185,7 +199,7 @@ def eval_functional(
     observables: ObservableAssignment,
 ) -> tuple[float, CorrelatorSet]:
     """Functional value and per-term correlators for a full assignment."""
-    parties = 1 if f.kind in BIPARTITE_KINDS else f.n
+    parties = f.parties
     if len(observables.edge) != parties:
         raise MissingObservable(
             f"need observables for {parties} edge parties, got {len(observables.edge)}"
@@ -204,21 +218,18 @@ def eval_functional(
             f"state must have {parties + 1} slots, got {len(state.subsystem_dims)}"
         )
 
-    values = []
-    for term in f.terms:
-        edge_ops = []
-        for k in range(parties):
-            combo = sum(
-                c * observables.edge[k][x].matrix
-                for x, c in enumerate(term.signs[k])
-                if c != 0
-            )
-            if isinstance(combo, int):  # all-zero coefficients
-                combo = np.zeros((state.subsystem_dims[k],) * 2, dtype=complex)
-            edge_ops.append(combo)
-        values.append(
-            eval_correlator(state, edge_ops, observables.central[term.central_input])
+    sums = [
+        f.signed_sums(k, [o.matrix for o in observables.edge[k]])
+        for k in range(parties)
+    ]
+    values = [
+        eval_correlator(
+            state,
+            [s[i] for s in sums],
+            observables.central[term.central_input],
         )
+        for i, term in enumerate(f.terms)
+    ]
     correlators = CorrelatorSet(values=tuple(values))
     return combine(f, values), correlators
 

@@ -30,9 +30,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import tolerances as tol
-from .errors import DimensionGuard, DimensionMismatch, NonHermitianInput
+from .errors import DimensionGuard, DimensionMismatch, NonHermitianInput, OutOfRange
 from .functionals import (
-    BIPARTITE_KINDS,
     LINEAR,
     Functional,
     Kind,
@@ -75,13 +74,13 @@ class SeesawConfig:
 
     def __post_init__(self) -> None:
         if self.edge_dim < 2:
-            raise ValueError("edge_dim must be at least 2")
+            raise OutOfRange("edge_dim must be at least 2")
         if self.central_slot_dim is not None and self.central_slot_dim < 2:
-            raise ValueError("central_slot_dim must be at least 2")
+            raise OutOfRange("central_slot_dim must be at least 2")
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise OutOfRange("tol must be positive")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise OutOfRange("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -114,82 +113,74 @@ def best_response_observable(steering: np.ndarray) -> Observable:
 
 
 def _sign_eig(h: np.ndarray) -> np.ndarray:
-    h = (h + h.conj().T) / 2
+    """Eigenvalue-wise sign of the Hermitian part of h, or of every matrix
+    in a (..., d, d) stack; zero eigenvalues map to +1."""
+    h = (h + np.swapaxes(h.conj(), -1, -2)) / 2
     vals, vecs = np.linalg.eigh(h)
     signs = np.where(vals < 0, -1.0, 1.0)
-    return (vecs * signs) @ vecs.conj().T
-
-
-def _apply_slot_ops(psi_t: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
-    out = psi_t
-    for axis, op in enumerate(ops):
-        if op is None:
-            continue
-        out = np.moveaxis(np.tensordot(op, out, axes=([1], [axis])), 0, axis)
-    return out
+    return (vecs * signs[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 class _Workspace:
     """Shared geometry for one seesaw run: slot dims, coefficient tables,
-    and pure/density contraction helpers."""
+    the term -> central input map, and the batched slot contractions.
+
+    Operators travel as one (T, d, d) stack per slot: ``ops[j][t]`` is term
+    t's operator on slot j (its signed observable sum on an edge slot, its
+    central observable on the last slot), and ``None`` leaves a slot alone.
+    """
 
     def __init__(self, f: Functional, dims: tuple[int, ...]):
         self.f = f
         self.dims = dims
         self.parties = len(dims) - 1
         self.coeffs = [f.coefficient_matrix(k) for k in range(self.parties)]
-        self.groups: dict[int, list[int]] = {}
-        for i, term in enumerate(f.terms):
-            self.groups.setdefault(term.central_input, []).append(i)
-
-    def edge_sums(self, edge: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-        """Signed observable sums, one per (term, party)."""
-        out = []
-        for i in range(self.f.n_terms):
-            row = []
-            for k in range(self.parties):
-                c = self.coeffs[k][i]
-                row.append(sum(c[x] * edge[k][x] for x in range(self.f.m) if c[x]))
-            out.append(row)
-        return out
-
-    def term_ops(self, sums: list[list[np.ndarray]], central, i: int):
-        return [self._materialize(sums[i][k], k) for k in range(self.parties)] + [
-            central[self.f.terms[i].central_input]
+        self.central_index = np.array([t.central_input for t in f.terms])
+        self.central_used = np.unique(self.central_index)
+        self.shared = np.bincount(self.central_index)[self.central_index] > 1
+        # The state as (before, slot, after) around each slot.
+        self.splits = [
+            (math.prod(dims[:j]), d, math.prod(dims[j + 1 :]))
+            for j, d in enumerate(dims)
         ]
 
-    def _materialize(self, op, slot: int) -> np.ndarray:
-        if isinstance(op, np.ndarray):
-            return op
-        return np.zeros((self.dims[slot], self.dims[slot]), dtype=complex)
+    def slot_ops(self, edge: list[np.ndarray], central: np.ndarray) -> list[np.ndarray]:
+        return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [
+            central[self.central_index]
+        ]
+
+    def apply(self, psi: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
+        """Stack over t of (ops[0][t] x ... x ops[-1][t]) psi, one batched
+        matmul per slot; the result's leading axis is t."""
+        out = psi[None]
+        for (pre, d, post), op in zip(self.splits, ops):
+            if op is not None:
+                out = op[:, None] @ out.reshape(-1, pre, d, post)
+        return out
 
 
-def _correlators_pure(ws: _Workspace, psi_t, sums, central) -> list[float]:
-    flat = psi_t.reshape(-1)
-    out = []
-    for i in range(ws.f.n_terms):
-        ops = ws.term_ops(sums, central, i)
-        out.append(float(np.vdot(flat, _apply_slot_ops(psi_t, ops).reshape(-1)).real))
-    return out
+def _correlators_pure(ws: _Workspace, psi: np.ndarray, ops) -> list[float]:
+    phi = ws.apply(psi, ops)
+    return (phi.reshape(ws.f.n_terms, -1) @ psi.conj()).real.tolist()
 
 
-def _correlators_density(ws: _Workspace, rho, sums, central) -> list[float]:
-    out = []
-    for i in range(ws.f.n_terms):
-        full = tensor_all(ws.term_ops(sums, central, i))
-        out.append(float(np.einsum("ij,ji->", rho, full).real))
-    return out
+def _correlators_density(ws: _Workspace, rho: np.ndarray, ops) -> list[float]:
+    return [
+        float(np.einsum("ij,ji->", rho, tensor_all([op[i] for op in ops])).real)
+        for i in range(ws.f.n_terms)
+    ]
 
 
-def _steering_pure(psi_t, slot: int, ops) -> np.ndarray:
-    phi = _apply_slot_ops(psi_t, ops)
-    d = psi_t.shape[slot]
-    psi_m = np.moveaxis(psi_t, slot, 0).reshape(d, -1)
-    phi_m = np.moveaxis(phi, slot, 0).reshape(d, -1)
-    return (np.conj(psi_m) @ phi_m.T).T
+def _steering_pure(ws: _Workspace, psi: np.ndarray, slot: int, ops) -> np.ndarray:
+    """(T, d, d) steering stack H with Tr(A H[t]) = <psi| A (x) ops[t] |psi>,
+    A acting on ``slot`` (where ``ops`` holds None)."""
+    split = ws.splits[slot]
+    phi = ws.apply(psi, ops).reshape((-1,) + split)
+    return np.einsum("tpaq,pzq->taz", phi, psi.reshape(split).conj())
 
 
-def _steering_density(rho, dims, slot: int, ops) -> np.ndarray:
+def _steering_density(ws: _Workspace, rho: np.ndarray, slot: int, ops) -> np.ndarray:
+    dims = ws.dims
     k = len(dims)
     others = [j for j in range(k) if j != slot]
     rho_t = rho.reshape(dims + dims)
@@ -197,10 +188,12 @@ def _steering_density(rho, dims, slot: int, ops) -> np.ndarray:
     d = dims[slot]
     rest = int(np.prod([dims[o] for o in others]))
     rho_p = rho_t.transpose(perm).reshape(d, rest, d, rest)
-    o_rest = tensor_all(
-        [np.eye(dims[o]) if ops[o] is None else ops[o] for o in others]
+    return np.array(
+        [
+            np.einsum("arbs,sr->ab", rho_p, tensor_all([ops[o][i] for o in others]))
+            for i in range(ws.f.n_terms)
+        ]
     )
-    return np.einsum("arbs,sr->ab", rho_p, o_rest)
 
 
 def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
@@ -213,26 +206,20 @@ def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _top_eigvec(ws: _Workspace, sums, central, w, psi0: np.ndarray) -> np.ndarray:
+def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """Top eigenvector of the linearized Bell operator sum_t w[t] ops[t]."""
     total = int(np.prod(ws.dims))
-    ops_per_term = [
-        ws.term_ops(sums, central, i) for i in range(ws.f.n_terms)
-    ]
     if total <= _DENSE_EIG_LIMIT:
-        g = np.zeros((total, total), dtype=complex)
-        for wi, ops in zip(w, ops_per_term):
-            if wi:
-                g += wi * tensor_all(ops)
-        vec = np.linalg.eigh(g)[1][:, -1]
+        kron = ops[0]
+        for op in ops[1:]:
+            t, a, b = kron.shape
+            _, c, d = op.shape
+            kron = np.einsum("tab,tcd->tacbd", kron, op).reshape(t, a * c, b * d)
+        vec = np.linalg.eigh(np.tensordot(w, kron, axes=1))[1][:, -1]
     else:
 
         def matvec(v):
-            t = v.reshape(ws.dims)
-            acc = np.zeros_like(t)
-            for wi, ops in zip(w, ops_per_term):
-                if wi:
-                    acc += wi * _apply_slot_ops(t, ops)
-            return acc.reshape(-1)
+            return np.tensordot(w, ws.apply(v, ops), axes=1).reshape(-1)
 
         op = scipy.sparse.linalg.LinearOperator(
             (total, total), matvec=matvec, dtype=complex
@@ -242,6 +229,19 @@ def _top_eigvec(ws: _Workspace, sums, central, w, psi0: np.ndarray) -> np.ndarra
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (np.conj(vec[pivot]) / abs(vec[pivot]))
     return vec / np.linalg.norm(vec)
+
+
+def _edge_update(
+    ws: _Workspace, k: int, observables: np.ndarray, w: np.ndarray, steer: np.ndarray
+) -> np.ndarray:
+    """Best response of edge party k's (m, d, d) observables to the (T, d, d)
+    steering stack under term weights w. A setting whose weighted
+    coefficients w[t] C_k[t, x] all vanish is left unchanged."""
+    wc = w[:, None] * ws.coeffs[k]
+    moved = np.any(wc != 0, axis=0)
+    out = observables.copy()
+    out[moved] = _sign_eig(np.einsum("tx,tab->xab", wc[:, moved], steer))
+    return out
 
 
 def _random_involution(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -262,12 +262,13 @@ def _seesaw_single(
     fixed: QuantumState | None,
 ):
     dims = ws.dims
-    central_dim = dims[-1]
     edge = [
-        [_random_involution(dims[k], rng) for _ in range(f.m)]
+        np.array([_random_involution(dims[k], rng) for _ in range(f.m)])
         for k in range(ws.parties)
     ]
-    central = [_random_involution(central_dim, rng) for _ in range(f.n_central_inputs)]
+    central = np.array(
+        [_random_involution(dims[-1], rng) for _ in range(f.n_central_inputs)]
+    )
 
     if fixed is None:
         psi = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(
@@ -280,33 +281,29 @@ def _seesaw_single(
     else:
         psi, pure, rho = None, False, np.array(fixed.data)
 
-    def correlators(sums):
+    def correlators(ops):
         if pure:
-            return _correlators_pure(ws, psi.reshape(dims), sums, central)
-        return _correlators_density(ws, rho, sums, central)
+            return _correlators_pure(ws, psi, ops)
+        return _correlators_density(ws, rho, ops)
 
     def steering(slot, ops):
+        ops = ops[:slot] + [None] + ops[slot + 1 :]
         if pure:
-            return _steering_pure(psi.reshape(dims), slot, ops)
-        return _steering_density(rho, dims, slot, ops)
+            return _steering_pure(ws, psi, slot, ops)
+        return _steering_density(ws, rho, slot, ops)
 
-    sums = ws.edge_sums(edge)
-    corr = correlators(sums)
+    ops = ws.slot_ops(edge, central)
+    corr = correlators(ops)
     value = combine(f, corr)
     history = [value]
     converged = False
-
-    def refresh():
-        nonlocal corr, value
-        corr = correlators(sums)
-        value = combine(f, corr)
 
     def state_step(w):
         # Top eigenvector of the linearized Bell operator, damped by a
         # line search on the true objective: root-sum combiners are
         # concave in the correlators, so the full jump can overshoot.
-        nonlocal psi
-        target = _top_eigvec(ws, sums, central, w, psi)
+        nonlocal psi, corr, value
+        target = _top_eigvec(ws, ops, w, psi)
         held = psi
         for eta in (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02):
             cand = (1.0 - eta) * held + eta * target
@@ -314,49 +311,38 @@ def _seesaw_single(
             if norm < 1e-12:
                 continue
             psi = cand / norm
-            corr_new = correlators(sums)
-            if combine(f, corr_new) > value:
-                refresh()
+            corr_new = correlators(ops)
+            value_new = combine(f, corr_new)
+            if value_new > value:
+                corr, value = corr_new, value_new
                 return
         psi = held
 
     def edge_step(w, k):
-        nonlocal sums
-        term_steer = []
-        for i in range(f.n_terms):
-            ops = ws.term_ops(sums, central, i)
-            ops[k] = None
-            term_steer.append(steering(k, ops))
-        held = edge[k][:]
-        held_sums = sums
-        for x in range(f.m):
-            h = sum(
-                w[i] * ws.coeffs[k][i][x] * term_steer[i]
-                for i in range(f.n_terms)
-                if w[i] and ws.coeffs[k][i][x]
-            )
-            if isinstance(h, np.ndarray):
-                edge[k][x] = _sign_eig(h)
-        sums = ws.edge_sums(edge)
-        corr_new = correlators(sums)
-        if combine(f, corr_new) >= value:
-            refresh()
+        nonlocal ops, corr, value
+        held, held_ops = edge[k], ops
+        edge[k] = _edge_update(ws, k, edge[k], w, steering(k, ops))
+        ops = ops[:k] + [f.signed_sums(k, edge[k])] + ops[k + 1 :]
+        corr_new = correlators(ops)
+        value_new = combine(f, corr_new)
+        if value_new >= value:
+            corr, value = corr_new, value_new
         else:
             edge[k] = held
-            sums = held_sums
+            ops = held_ops
 
     def central_step(w):
         # Each term owns its central input in every built-in kind, so this
         # update maximizes I_i (hence |I_i|) exactly and never decreases
         # the objective. Shared inputs fall back to linearized steering.
-        for j, group in ws.groups.items():
-            if f.combiner == LINEAR or len(group) == 1:
-                h = sum(_central_steer(ws, steering, sums, i) for i in group)
-            else:
-                h = sum(w[i] * _central_steer(ws, steering, sums, i) for i in group)
-            if isinstance(h, np.ndarray):
-                central[j] = _sign_eig(h)
-        refresh()
+        nonlocal ops, corr, value
+        scale = np.where(ws.shared & (f.combiner != LINEAR), w, 1.0)
+        h = np.zeros_like(central)
+        np.add.at(h, ws.central_index, scale[:, None, None] * steering(ws.parties, ops))
+        central[ws.central_used] = _sign_eig(h[ws.central_used])
+        ops = ops[:-1] + [central[ws.central_index]]
+        corr = correlators(ops)
+        value = combine(f, corr)
 
     for _ in range(cfg.max_iters):
         before = value
@@ -377,11 +363,6 @@ def _seesaw_single(
     return value, psi, rho, edge, central, history, converged
 
 
-def _central_steer(ws: _Workspace, steering, sums, i: int) -> np.ndarray:
-    ops = [ws._materialize(sums[i][k], k) for k in range(ws.parties)] + [None]
-    return steering(ws.parties, ops)
-
-
 def seesaw_optimize(
     f: Functional,
     cfg: SeesawConfig | None = None,
@@ -396,7 +377,7 @@ def seesaw_optimize(
     to make progress is reported with ``converged=False``.
     """
     cfg = cfg or SeesawConfig()
-    parties = 1 if f.kind in BIPARTITE_KINDS else f.n
+    parties = f.parties
     if fixed_state is not None:
         dims = tuple(fixed_state.subsystem_dims)
         if len(dims) != parties + 1:
@@ -445,7 +426,7 @@ def vector_model_value(f: Functional, vectors: np.ndarray) -> float:
     """Closed-form value of a unit-vector configuration: each per-party
     norm is ||sum_x c_x v_x|| and the combiner is applied to their
     per-term products."""
-    parties = 1 if f.kind in BIPARTITE_KINDS else f.n
+    parties = f.parties
     omegas = np.empty((parties, f.n_terms))
     for k in range(parties):
         w = f.coefficient_matrix(k) @ vectors[k]
@@ -512,8 +493,8 @@ def vector_model_optimize(
     """Maximize the vector-model closed form over unit vectors in the given
     ambient dimension by projected gradient ascent with restarts."""
     if ambient < 1:
-        raise ValueError("ambient dimension must be at least 1")
-    parties = 1 if f.kind in BIPARTITE_KINDS else f.n
+        raise OutOfRange("ambient dimension must be at least 1")
+    parties = f.parties
     best_value, best_v = -np.inf, None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
@@ -542,7 +523,7 @@ def optimal_assignment(f: Functional) -> tuple[QuantumState, ObservableAssignmen
     observable is the tensor product over sources of the transposed,
     normalized signed sums.
     """
-    parties = 1 if f.kind in BIPARTITE_KINDS else f.n
+    parties = f.parties
     if f.kind in (Kind.CHAINED, Kind.XI):
         edge_obs = _planar_edge_observables(f.m)
         norm = 2.0 * math.cos(math.pi / (2 * f.m))
@@ -551,16 +532,10 @@ def optimal_assignment(f: Functional) -> tuple[QuantumState, ObservableAssignmen
         norm = math.sqrt(f.m)
     dim = edge_obs[0].dim
 
-    partners = []
-    for term in f.terms:
-        combo = sum(
-            c * edge_obs[x].matrix for x, c in enumerate(term.signs[0]) if c
-        )
-        partners.append(combo.T / norm)
-
+    sums = f.signed_sums(0, [o.matrix for o in edge_obs])
     state = network_product_state([maximally_entangled(dim)] * parties)
     central = tuple(
-        Observable(tensor_all([b] * parties)) for b in partners
+        Observable(tensor_all([s.T / norm] * parties)) for s in sums
     )
     edge = tuple(tuple(edge_obs) for _ in range(parties))
     return state, ObservableAssignment(edge=edge, central=central)

@@ -12,9 +12,6 @@ HERMITIAN_INPUT = 1e-10
 # Smallest admissible eigenvalue for a matrix declared PSD.
 PSD_FLOOR = -1e-9
 
-# Eigendecomposition reconstruction and orthonormality error.
-RECONSTRUCTION = 1e-10
-
 # |A^2 - I| for dichotomic (+1/-1 outcome) observables.
 INVOLUTION = 1e-10
 
@@ -26,9 +23,6 @@ TRACE_ONE = 1e-12
 
 # Largest imaginary residue silently discarded from a real expectation.
 IMAG_DISCARD = 1e-10
-
-# Pairwise anticommutator residue for anticommuting observable sets.
-ANTICOMMUTATOR = 1e-10
 
 # Signed observable sums with state-norm below this are degenerate.
 ZERO_NORM = 1e-12

@@ -135,6 +135,22 @@ class TestOptimizeCommand:
         )
         assert code == 3
 
+    def test_dim_one_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--expr", "chsh", "--dim", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "edge_dim" in err
+
+    def test_ambient_zero_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--expr", "chsh", "--model", "vector", "--ambient", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "ambient" in err
+
     def test_pretty_and_csv_modes(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--expr", "chsh", "--out", "pretty"

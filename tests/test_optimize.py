@@ -6,20 +6,30 @@ import pytest
 from netbell.errors import DimensionGuard, NonHermitianInput
 from netbell.functionals import (
     Kind,
+    ObservableAssignment,
     build_functional,
     eval_functional,
     quantum_bound,
 )
 from netbell.optimize import (
+    _DENSE_EIG_LIMIT,
     SeesawConfig,
+    _correlators_density,
+    _correlators_pure,
+    _edge_update,
+    _random_involution,
+    _steering_density,
+    _steering_pure,
+    _top_eigvec,
+    _Workspace,
     best_response_observable,
     optimal_assignment,
     seesaw_optimize,
     vector_model_optimize,
     vector_model_value,
 )
-from netbell.qcore import expectation, vector_norm_applied
-from netbell.states import SIGMA_X, SIGMA_Z
+from netbell.qcore import expectation, tensor_all, vector_norm_applied
+from netbell.states import SIGMA_X, SIGMA_Z, Observable, QuantumState
 
 SQ2 = math.sqrt(2)
 
@@ -139,6 +149,93 @@ class TestSeesaw:
         _, b = run_seesaw(Kind.CHSH, 2, 1, seed=3)
         assert a.value == b.value
         assert a.history == b.history
+
+
+KERNEL_KINDS = [
+    (Kind.CHSH, 2, 1),
+    (Kind.CHAINED, 3, 1),
+    (Kind.GM, 3, 1),
+    (Kind.GM, 4, 1),
+    (Kind.BILOCAL, 2, 2),
+    (Kind.STAR, 2, 3),
+    (Kind.DELTA, 3, 2),
+    (Kind.XI, 3, 2),
+]
+
+
+def random_setting(f, dims, seed):
+    rng = np.random.default_rng(seed)
+    edge = [
+        np.array([_random_involution(dims[k], rng) for _ in range(f.m)])
+        for k in range(f.parties)
+    ]
+    central = np.array(
+        [_random_involution(dims[-1], rng) for _ in range(f.n_central_inputs)]
+    )
+    total = int(np.prod(dims))
+    psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    return edge, central, psi / np.linalg.norm(psi)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
+    def test_correlators_and_steering_match_eval_functional(self, kind, m, n):
+        f = build_functional(kind, m, n)
+        dims = (2,) * f.parties + (2**f.parties,)
+        ws = _Workspace(f, dims)
+        edge, central, psi = random_setting(f, dims, seed=len(f.terms) + n)
+        ops = ws.slot_ops(edge, central)
+        assignment = ObservableAssignment(
+            edge=tuple(tuple(Observable(a) for a in row) for row in edge),
+            central=tuple(Observable(b) for b in central),
+        )
+        _, expected = eval_functional(f, QuantumState.pure(psi, dims), assignment)
+        rho = np.outer(psi, psi.conj())
+        for correlators in (
+            _correlators_pure(ws, psi, ops),
+            _correlators_density(ws, rho, ops),
+        ):
+            assert np.allclose(correlators, expected.values, rtol=0, atol=1e-12)
+        # Tr(ops[j][t] H_j[t]) recovers every correlator from each slot.
+        for j in range(len(dims)):
+            rest = ops[:j] + [None] + ops[j + 1 :]
+            for steer in (
+                _steering_pure(ws, psi, j, rest),
+                _steering_density(ws, rho, j, rest),
+            ):
+                got = np.einsum("tab,tba->t", ops[j], steer).real
+                assert np.allclose(got, expected.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,lanczos", [((3, 3, 9), False), ((5, 5, 21), True)])
+    def test_top_eigvec_matches_dense_eigh(self, dims, lanczos):
+        # 5 * 5 * 21 = 525 is just above the dense limit.
+        assert (np.prod(dims) > _DENSE_EIG_LIMIT) == lanczos
+        f = build_functional(Kind.XI, 3, 2)
+        ws = _Workspace(f, dims)
+        edge, central, psi = random_setting(f, dims, seed=5)
+        ops = ws.slot_ops(edge, central)
+        w = np.random.default_rng(6).standard_normal(f.n_terms)
+        g = sum(wi * tensor_all([op[i] for op in ops]) for i, wi in enumerate(w))
+        vec = _top_eigvec(ws, ops, w, psi)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        top = np.linalg.eigvalsh(g)[-1]
+        assert np.vdot(vec, g @ vec).real == pytest.approx(top, rel=1e-10)
+
+    def test_edge_update_keeps_unweighted_setting(self):
+        # Chained m=3 terms are A0+A1, A1+A2, A2-A0: with only the middle
+        # term weighted, setting 0 has nothing to respond to.
+        f = build_functional(Kind.CHAINED, 3, 1)
+        dims = (2, 2)
+        ws = _Workspace(f, dims)
+        edge, central, psi = random_setting(f, dims, seed=3)
+        held = edge[0].copy()
+        steer = _steering_pure(ws, psi, 0, [None, central[ws.central_index]])
+        new = _edge_update(ws, 0, edge[0], np.array([0.0, 1.0, 0.0]), steer)
+        assert np.array_equal(edge[0], held)
+        assert np.array_equal(new[0], held[0])
+        best = best_response_observable(steer[1]).matrix
+        for x in (1, 2):
+            assert np.allclose(new[x], best, atol=1e-12)
 
 
 class TestVectorModel:
