@@ -25,12 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DensityInput, DimensionMismatch, ZeroNorm
+from .errors import DensityInput, DimensionMismatch, OutOfRange, ZeroNorm
 from .functionals import (
     LINEAR,
     Functional,
     Kind,
     ObservableAssignment,
+    assignment_sums,
     build_functional,
 )
 from .optimize import SeesawConfig, seesaw_optimize
@@ -111,19 +112,11 @@ def sos_certificate(
     """
     if state.kind != "pure":
         raise DensityInput("certificates are assembled on pure states")
-    parties = f.parties
+    sums = assignment_sums(f, state, observables)
     dims = state.subsystem_dims
-    if len(dims) != parties + 1:
-        raise DimensionMismatch(
-            f"state must have {parties + 1} slots, got {len(dims)}"
-        )
     central_dim = dims[-1]
     psi = state.data
 
-    sums = [
-        f.signed_sums(k, [o.matrix for o in observables.edge[k]])
-        for k in range(parties)
-    ]
     omegas, weights, residuals, correlators, ms = [], [], [], [], []
     for i, term in enumerate(f.terms):
         t_edge = tensor_all([s[i] for s in sums] + [np.eye(central_dim)])
@@ -243,7 +236,7 @@ def correspondence_scan(
     counts rather than hides.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise OutOfRange("trials must be at least 1")
     if family not in ("bilocal", "star", "xi"):
         raise ValueError(f"unknown family {family!r}")
     if family == "bilocal":

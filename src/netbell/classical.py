@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeEntry, SearchSpaceTooLarge, ShapeMismatch
+from .errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
 from .functionals import LINEAR, Functional, combine
 
 SEARCH_SPACE_GUARD = 2**34
@@ -195,6 +195,8 @@ def random_model(
 ) -> HiddenVariableModel:
     """Random n-local mixture: Dirichlet-uniform weights per source and
     uniform +1/-1 response tables."""
+    if support_size < 1:
+        raise OutOfRange(f"support size must be at least 1, got {support_size}")
     parties = f.parties
     s = int(support_size)
     weights = tuple(rng.dirichlet(np.ones(s)) for _ in range(parties))
@@ -216,7 +218,7 @@ def sample_nlocal_value(
     the result does not depend on evaluation order.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise OutOfRange("trials must be at least 1")
     children = np.random.SeedSequence(seed).spawn(trials)
     best = -np.inf
     for child in children:

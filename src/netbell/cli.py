@@ -30,8 +30,11 @@ from . import __version__, serialize
 from .certify import correspondence_scan, sos_certificate
 from .classical import enumerate_deterministic_max, sample_nlocal_value
 from .errors import (
+    DensityInput,
     DimensionGuard,
+    DimensionMismatch,
     InvalidScenario,
+    MissingObservable,
     OutOfRange,
     SearchSpaceTooLarge,
     ZeroNorm,
@@ -54,7 +57,7 @@ EXIT_CORRESPONDENCE = 6
 
 SIGN_FAMILY_NOTE = (
     "classical bound uses m*C(m-1,floor((m-1)/2)), confirmed by exhaustive "
-    "enumeration (6 at m=3); the superficially similar closed form "
+    "enumeration for m <= 5 (6 at m=3); the superficially similar closed form "
     "m*C(m,floor((m-1)/2)) does not match enumeration (it gives 9 at m=3)"
 )
 
@@ -172,6 +175,16 @@ def _record(command, f, seed, value, artifacts=None, note=None, started=0.0):
     )
 
 
+def _seesaw_config(args) -> SeesawConfig:
+    return SeesawConfig(
+        edge_dim=args.dim,
+        max_iters=args.iters,
+        tol=args.tol,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
+
+
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     f = _build_functional_from_args(args)
@@ -184,14 +197,7 @@ def cmd_optimize(args) -> int:
             "vectors": np.asarray(model.vectors).tolist(),
         }
     else:
-        cfg = SeesawConfig(
-            edge_dim=args.dim,
-            max_iters=args.iters,
-            tol=args.tol,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
-        result = seesaw_optimize(f, cfg)
+        result = seesaw_optimize(f, _seesaw_config(args))
         artifacts = {
             "model": "seesaw",
             "state": serialize.state_to_json(result.state),
@@ -250,18 +256,14 @@ def cmd_certify(args) -> int:
             print(f"invalid settings file: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        cfg = SeesawConfig(
-            edge_dim=args.dim,
-            max_iters=args.iters,
-            tol=args.tol,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
-        result = seesaw_optimize(f, cfg)
+        result = seesaw_optimize(f, _seesaw_config(args))
         state, assignment = result.state, result.observables
 
     try:
         report = sos_certificate(f, state, assignment)
+    except (MissingObservable, DimensionMismatch, DensityInput) as exc:
+        print(f"invalid settings: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ZeroNorm as exc:
         print(f"certificate undefined: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
@@ -294,7 +296,6 @@ def cmd_certify(args) -> int:
 def cmd_correspondence(args) -> int:
     started = time.perf_counter()
     family = args.family
-    ranks = tuple(int(r) for r in args.ranks.split(","))
     report = correspondence_scan(
         family,
         trials=args.trials,
@@ -302,13 +303,9 @@ def cmd_correspondence(args) -> int:
         m=args.m,
         n=_resolve_n(family, args.n),
         edge_restarts=args.edge_restarts,
-        ranks=ranks,
+        ranks=args.ranks,
     )
-    f = build_functional(
-        {"bilocal": Kind.BILOCAL, "star": Kind.STAR, "xi": Kind.XI}[family],
-        report.m,
-        report.n,
-    )
+    f = build_functional(Kind(family), report.m, report.n)
     rows = [
         {
             "trial": r.trial,
@@ -327,7 +324,7 @@ def cmd_correspondence(args) -> int:
         "family": report.family,
         "trials": report.trials,
         "edge_restarts": report.edge_restarts,
-        "ranks": list(ranks),
+        "ranks": list(args.ranks),
         "satisfied": report.satisfied,
         "implication_failures": report.implication_failures,
         "min_margin": min(margins),
@@ -371,6 +368,11 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="json", choices=["json", "csv", "pretty"],
                    help="output format")
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    # argparse turns the ValueError of a bad entry into a usage error.
+    return tuple(int(r) for r in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument("--trials", type=int, default=100)
     p_corr.add_argument("--seed", type=int, default=0)
     p_corr.add_argument("--edge-restarts", type=int, default=10)
-    p_corr.add_argument("--ranks", default="1",
+    p_corr.add_argument("--ranks", default="1", type=int_list,
                         help="comma-separated admissible source ranks")
     p_corr.add_argument("--out", default=None, help="CSV output file")
     p_corr.add_argument("--format", default=None,

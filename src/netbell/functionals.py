@@ -193,12 +193,13 @@ def eval_correlator(
     return expectation(state, tensor_all(ops))
 
 
-def eval_functional(
-    f: Functional,
-    state: QuantumState,
-    observables: ObservableAssignment,
-) -> tuple[float, CorrelatorSet]:
-    """Functional value and per-term correlators for a full assignment."""
+def assignment_sums(
+    f: Functional, state: QuantumState, observables: ObservableAssignment
+) -> list[np.ndarray]:
+    """Per-party (T, d, d) signed observable sums of an assignment, after
+    checking that the assignment and state fit the functional: one row of
+    m observables per edge party, an observable for every central input,
+    and one state slot per party plus the central slot."""
     parties = f.parties
     if len(observables.edge) != parties:
         raise MissingObservable(
@@ -217,11 +218,19 @@ def eval_functional(
         raise DimensionMismatch(
             f"state must have {parties + 1} slots, got {len(state.subsystem_dims)}"
         )
-
-    sums = [
-        f.signed_sums(k, [o.matrix for o in observables.edge[k]])
-        for k in range(parties)
+    return [
+        f.signed_sums(k, [o.matrix for o in row])
+        for k, row in enumerate(observables.edge)
     ]
+
+
+def eval_functional(
+    f: Functional,
+    state: QuantumState,
+    observables: ObservableAssignment,
+) -> tuple[float, CorrelatorSet]:
+    """Functional value and per-term correlators for a full assignment."""
+    sums = assignment_sums(f, state, observables)
     values = [
         eval_correlator(
             state,
@@ -237,8 +246,9 @@ def eval_functional(
 def sign_family_classical_bound(m: int) -> int:
     """Classical bound of the sign-table families: m * C(m-1, floor((m-1)/2)).
 
-    Equals sum_{j=0}^{floor(m/2)} C(m, j) (m - 2j) and is confirmed by
-    exhaustive enumeration over deterministic strategies.
+    Equals sum_{j=0}^{floor(m/2)} C(m, j) (m - 2j). Exhaustive enumeration
+    over deterministic strategies confirms it for m <= 5; the search-space
+    guard stops enumeration at m = 6.
     """
     return m * math.comb(m - 1, (m - 1) // 2)
 

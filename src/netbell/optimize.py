@@ -125,12 +125,17 @@ class _Workspace:
     """Shared geometry for one seesaw run: slot dims, coefficient tables,
     the term -> central input map, and the batched slot contractions.
 
+    The state travels as a (ket, bra) pair of (D, cols) arrays whose
+    correlators are c_t = sum conj(bra) * (O_t ket): a pure state is
+    ket = bra = psi with one column, a density state is ket = rho and
+    bra = I with D columns, so that c_t = Tr(O_t rho).
+
     Operators travel as one (T, d, d) stack per slot: ``ops[j][t]`` is term
     t's operator on slot j (its signed observable sum on an edge slot, its
     central observable on the last slot), and ``None`` leaves a slot alone.
     """
 
-    def __init__(self, f: Functional, dims: tuple[int, ...]):
+    def __init__(self, f: Functional, dims: tuple[int, ...], cols: int = 1):
         self.f = f
         self.dims = dims
         self.parties = len(dims) - 1
@@ -138,9 +143,9 @@ class _Workspace:
         self.central_index = np.array([t.central_input for t in f.terms])
         self.central_used = np.unique(self.central_index)
         self.shared = np.bincount(self.central_index)[self.central_index] > 1
-        # The state as (before, slot, after) around each slot.
+        # The state as (before, slot, after) around each slot, columns last.
         self.splits = [
-            (math.prod(dims[:j]), d, math.prod(dims[j + 1 :]))
+            (math.prod(dims[:j]), d, math.prod(dims[j + 1 :]) * cols)
             for j, d in enumerate(dims)
         ]
 
@@ -149,51 +154,29 @@ class _Workspace:
             central[self.central_index]
         ]
 
-    def apply(self, psi: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
-        """Stack over t of (ops[0][t] x ... x ops[-1][t]) psi, one batched
+    def apply(self, ket: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
+        """Stack over t of (ops[0][t] x ... x ops[-1][t]) ket, one batched
         matmul per slot; the result's leading axis is t."""
-        out = psi[None]
+        out = ket[None]
         for (pre, d, post), op in zip(self.splits, ops):
             if op is not None:
                 out = op[:, None] @ out.reshape(-1, pre, d, post)
         return out
 
 
-def _correlators_pure(ws: _Workspace, psi: np.ndarray, ops) -> list[float]:
-    phi = ws.apply(psi, ops)
-    return (phi.reshape(ws.f.n_terms, -1) @ psi.conj()).real.tolist()
+def _correlators(ws: _Workspace, ket: np.ndarray, bra: np.ndarray, ops) -> list[float]:
+    phi = ws.apply(ket, ops)
+    return (phi.reshape(ws.f.n_terms, -1) @ bra.conj().reshape(-1)).real.tolist()
 
 
-def _correlators_density(ws: _Workspace, rho: np.ndarray, ops) -> list[float]:
-    return [
-        float(np.einsum("ij,ji->", rho, tensor_all([op[i] for op in ops])).real)
-        for i in range(ws.f.n_terms)
-    ]
-
-
-def _steering_pure(ws: _Workspace, psi: np.ndarray, slot: int, ops) -> np.ndarray:
-    """(T, d, d) steering stack H with Tr(A H[t]) = <psi| A (x) ops[t] |psi>,
-    A acting on ``slot`` (where ``ops`` holds None)."""
+def _steering(
+    ws: _Workspace, ket: np.ndarray, bra: np.ndarray, slot: int, ops
+) -> np.ndarray:
+    """(T, d, d) steering stack H with Tr(A H[t]) the correlator of
+    A (x) ops[t], A acting on ``slot`` (where ``ops`` holds None)."""
     split = ws.splits[slot]
-    phi = ws.apply(psi, ops).reshape((-1,) + split)
-    return np.einsum("tpaq,pzq->taz", phi, psi.reshape(split).conj())
-
-
-def _steering_density(ws: _Workspace, rho: np.ndarray, slot: int, ops) -> np.ndarray:
-    dims = ws.dims
-    k = len(dims)
-    others = [j for j in range(k) if j != slot]
-    rho_t = rho.reshape(dims + dims)
-    perm = [slot] + others + [slot + k] + [o + k for o in others]
-    d = dims[slot]
-    rest = int(np.prod([dims[o] for o in others]))
-    rho_p = rho_t.transpose(perm).reshape(d, rest, d, rest)
-    return np.array(
-        [
-            np.einsum("arbs,sr->ab", rho_p, tensor_all([ops[o][i] for o in others]))
-            for i in range(ws.f.n_terms)
-        ]
-    )
+    phi = ws.apply(ket, ops).reshape((-1,) + split)
+    return np.einsum("tpaq,pzq->taz", phi, bra.reshape(split).conj())
 
 
 def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
@@ -274,23 +257,17 @@ def _seesaw_single(
         psi = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(
             int(np.prod(dims))
         )
-        psi /= np.linalg.norm(psi)
-        pure, rho = True, None
+        ket = bra = (psi / np.linalg.norm(psi))[:, None]
     elif fixed.kind == "pure":
-        psi, pure, rho = np.array(fixed.data), True, None
+        ket = bra = np.array(fixed.data)[:, None]
     else:
-        psi, pure, rho = None, False, np.array(fixed.data)
+        ket, bra = np.array(fixed.data), np.eye(len(fixed.data))
 
     def correlators(ops):
-        if pure:
-            return _correlators_pure(ws, psi, ops)
-        return _correlators_density(ws, rho, ops)
+        return _correlators(ws, ket, bra, ops)
 
     def steering(slot, ops):
-        ops = ops[:slot] + [None] + ops[slot + 1 :]
-        if pure:
-            return _steering_pure(ws, psi, slot, ops)
-        return _steering_density(ws, rho, slot, ops)
+        return _steering(ws, ket, bra, slot, ops[:slot] + [None] + ops[slot + 1 :])
 
     ops = ws.slot_ops(edge, central)
     corr = correlators(ops)
@@ -302,21 +279,21 @@ def _seesaw_single(
         # Top eigenvector of the linearized Bell operator, damped by a
         # line search on the true objective: root-sum combiners are
         # concave in the correlators, so the full jump can overshoot.
-        nonlocal psi, corr, value
-        target = _top_eigvec(ws, ops, w, psi)
-        held = psi
+        nonlocal ket, bra, corr, value
+        held = ket[:, 0]
+        target = _top_eigvec(ws, ops, w, held)
         for eta in (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02):
             cand = (1.0 - eta) * held + eta * target
             norm = np.linalg.norm(cand)
             if norm < 1e-12:
                 continue
-            psi = cand / norm
+            ket = bra = (cand / norm)[:, None]
             corr_new = correlators(ops)
             value_new = combine(f, corr_new)
             if value_new > value:
                 corr, value = corr_new, value_new
                 return
-        psi = held
+        ket = bra = held[:, None]
 
     def edge_step(w, k):
         nonlocal ops, corr, value
@@ -360,7 +337,7 @@ def _seesaw_single(
             converged = True
             break
 
-    return value, psi, rho, edge, central, history, converged
+    return value, ket, edge, central, history, converged
 
 
 def seesaw_optimize(
@@ -393,21 +370,20 @@ def seesaw_optimize(
             f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 
-    ws = _Workspace(f, dims)
+    density = fixed_state is not None and fixed_state.kind != "pure"
+    ws = _Workspace(f, dims, total if density else 1)
     best = None
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
-        value, psi, rho, edge, central, history, converged = _seesaw_single(
-            f, ws, rng, cfg, fixed_state
-        )
-        if best is None or value > best[0]:
-            best = (value, psi, rho, edge, central, history, converged)
+        run = _seesaw_single(f, ws, rng, cfg, fixed_state)
+        if best is None or run[0] > best[0]:
+            best = run
 
-    value, psi, rho, edge, central, history, converged = best
+    value, ket, edge, central, history, converged = best
     if fixed_state is not None:
         state = fixed_state
     else:
-        state = QuantumState.pure(psi, dims)
+        state = QuantumState.pure(ket[:, 0], dims)
     observables = ObservableAssignment(
         edge=tuple(tuple(Observable(a) for a in row) for row in edge),
         central=tuple(Observable(b) for b in central),

@@ -205,15 +205,11 @@ def network_product_state(sources: Sequence[QuantumState]) -> QuantumState:
     out_dims = tuple(edge_dims) + (math.prod(central_dims),)
 
     if all(s.kind == "pure" for s in sources):
-        vec = sources[0].data
-        for s in sources[1:]:
-            vec = np.kron(vec, s.data)
+        vec = tensor_all([s.data for s in sources])
         vec = vec.reshape(pair_dims).transpose(perm).reshape(-1)
         return QuantumState.pure(vec, out_dims)
 
-    rho = sources[0].density_matrix()
-    for s in sources[1:]:
-        rho = np.kron(rho, s.density_matrix())
+    rho = tensor_all([s.density_matrix() for s in sources])
     full_perm = perm + [p + 2 * n for p in perm]
     rho = rho.reshape(pair_dims * 2).transpose(full_perm)
     total = math.prod(pair_dims)

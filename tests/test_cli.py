@@ -286,6 +286,62 @@ class TestCertifyCommand:
         assert "undefined" in err
 
 
+def _chsh_settings():
+    state, assignment = optimal_assignment(build_functional(Kind.CHSH, 2, 1))
+    return {
+        "state": serialize.state_to_json(state),
+        **serialize.assignment_to_json(assignment),
+    }
+
+
+BAD_SETTINGS = {
+    "density_state": lambda s: {
+        **s,
+        "state": serialize.state_to_json(
+            QuantumState.density(np.eye(4) / 4, (2, 2))
+        ),
+    },
+    "one_slot_state": lambda s: {**s, "state": {**s["state"], "subsystem_dims": [4]}},
+    "one_central_observable": lambda s: {
+        **s, "central_observables": s["central_observables"][:1]
+    },
+    "one_edge_observable": lambda s: {
+        **s, "edge_observables": [s["edge_observables"][0][:1]]
+    },
+}
+
+
+class TestInvalidInputExit2:
+    @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+    def test_certify_settings(self, capsys, tmp_path, case):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(BAD_SETTINGS[case](_chsh_settings())))
+        code, out, err = run_cli(
+            capsys, "certify", "--expr", "chsh", "--settings", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "invalid settings" in err
+
+    @pytest.mark.parametrize(
+        "argv,word",
+        [
+            (("bound", "--expr", "bilocal", "--method", "sample", "--trials", "0"),
+             "trials"),
+            (("bound", "--expr", "bilocal", "--method", "sample", "--support", "0"),
+             "support"),
+            (("correspondence", "--family", "bilocal", "--trials", "0"), "trials"),
+            (("correspondence", "--family", "bilocal", "--ranks", "x"), "ranks"),
+        ],
+    )
+    def test_sampling_and_scan_sizes(self, capsys, argv, word):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert word in err.strip().splitlines()[-1]
+
+
 class TestCorrespondenceCommand:
     def test_bilocal_scan_with_csv(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"

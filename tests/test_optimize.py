@@ -14,12 +14,10 @@ from netbell.functionals import (
 from netbell.optimize import (
     _DENSE_EIG_LIMIT,
     SeesawConfig,
-    _correlators_density,
-    _correlators_pure,
+    _correlators,
     _edge_update,
     _random_involution,
-    _steering_density,
-    _steering_pure,
+    _steering,
     _top_eigvec,
     _Workspace,
     best_response_observable,
@@ -177,34 +175,57 @@ def random_setting(f, dims, seed):
     return edge, central, psi / np.linalg.norm(psi)
 
 
+def assert_kernel_matches(states, ops, expected):
+    """Check each (workspace, ket, bra) state pair against the expected
+    correlators."""
+    for ws, ket, bra in states:
+        correlators = _correlators(ws, ket, bra, ops)
+        assert np.allclose(correlators, expected, rtol=0, atol=1e-12)
+        # Tr(ops[j][t] H_j[t]) recovers every correlator from each slot.
+        for j in range(len(ws.dims)):
+            rest = ops[:j] + [None] + ops[j + 1 :]
+            steer = _steering(ws, ket, bra, j, rest)
+            got = np.einsum("tab,tba->t", ops[j], steer).real
+            assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
     def test_correlators_and_steering_match_eval_functional(self, kind, m, n):
         f = build_functional(kind, m, n)
         dims = (2,) * f.parties + (2**f.parties,)
-        ws = _Workspace(f, dims)
         edge, central, psi = random_setting(f, dims, seed=len(f.terms) + n)
-        ops = ws.slot_ops(edge, central)
+        ops = _Workspace(f, dims).slot_ops(edge, central)
         assignment = ObservableAssignment(
             edge=tuple(tuple(Observable(a) for a in row) for row in edge),
             central=tuple(Observable(b) for b in central),
         )
         _, expected = eval_functional(f, QuantumState.pure(psi, dims), assignment)
         rho = np.outer(psi, psi.conj())
-        for correlators in (
-            _correlators_pure(ws, psi, ops),
-            _correlators_density(ws, rho, ops),
-        ):
-            assert np.allclose(correlators, expected.values, rtol=0, atol=1e-12)
-        # Tr(ops[j][t] H_j[t]) recovers every correlator from each slot.
-        for j in range(len(dims)):
-            rest = ops[:j] + [None] + ops[j + 1 :]
-            for steer in (
-                _steering_pure(ws, psi, j, rest),
-                _steering_density(ws, rho, j, rest),
-            ):
-                got = np.einsum("tab,tba->t", ops[j], steer).real
-                assert np.allclose(got, expected.values, rtol=0, atol=1e-12)
+        states = [
+            (_Workspace(f, dims), psi[:, None], psi[:, None]),
+            (_Workspace(f, dims, len(rho)), rho, np.eye(len(rho))),
+        ]
+        assert_kernel_matches(states, ops, expected.values)
+
+    @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
+    def test_full_rank_density_matches_eval_functional(self, kind, m, n):
+        f = build_functional(kind, m, n)
+        dims = (2,) * f.parties + (2**f.parties,)
+        edge, central, _ = random_setting(f, dims, seed=len(f.terms) + 2 * n)
+        ops = _Workspace(f, dims).slot_ops(edge, central)
+        total = int(np.prod(dims))
+        g = np.random.default_rng(total).standard_normal((total, total, 2)) @ [1, 1j]
+        rho = g @ g.conj().T
+        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        assert np.linalg.matrix_rank(rho) == total
+        assignment = ObservableAssignment(
+            edge=tuple(tuple(Observable(a) for a in row) for row in edge),
+            central=tuple(Observable(b) for b in central),
+        )
+        _, expected = eval_functional(f, QuantumState.density(rho, dims), assignment)
+        states = [(_Workspace(f, dims, total), rho, np.eye(total))]
+        assert_kernel_matches(states, ops, expected.values)
 
     @pytest.mark.parametrize("dims,lanczos", [((3, 3, 9), False), ((5, 5, 21), True)])
     def test_top_eigvec_matches_dense_eigh(self, dims, lanczos):
@@ -229,7 +250,8 @@ class TestBatchedKernel:
         ws = _Workspace(f, dims)
         edge, central, psi = random_setting(f, dims, seed=3)
         held = edge[0].copy()
-        steer = _steering_pure(ws, psi, 0, [None, central[ws.central_index]])
+        ket = psi[:, None]
+        steer = _steering(ws, ket, ket, 0, [None, central[ws.central_index]])
         new = _edge_update(ws, 0, edge[0], np.array([0.0, 1.0, 0.0]), steer)
         assert np.array_equal(edge[0], held)
         assert np.array_equal(new[0], held[0])
