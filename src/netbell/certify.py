@@ -33,8 +33,9 @@ from .functionals import (
     ObservableAssignment,
     assignment_sums,
     build_functional,
+    combine,
 )
-from .optimize import SeesawConfig, seesaw_optimize
+from .optimize import SeesawConfig, _correlators, _Workspace, seesaw_optimize
 from .qcore import tensor_all
 from .states import (
     PAULIS,
@@ -107,6 +108,16 @@ def sos_certificate(
     """Assemble the certificate operator for an assignment and report the
     omega norms, residuals, gap, and its minimum eigenvalue.
 
+    The state side runs on the seesaw's batched slot kernel: one stack of
+    T_i psi, one of B_i psi, and the correlators <psi|B_i T_i|psi>. On the
+    operator side T_i = (x)_k S_ik (x) I and B_i = I (x) C_i are Hermitian
+    and act on different slots, so
+    M_i^dag M_i = (x)_k S_ik^2 (x) I / omega_i^2
+    - (2 s_i / omega_i) (x)_k S_ik (x) C_i + I (x) C_i^2,
+    and gamma is assembled from these three Kronecker pieces per term with
+    no dense M_i. Its minimum eigenvalue is an exact dense solve (on the
+    real part when gamma is real).
+
     Raises ZeroNorm when a signed observable sum annihilates the state;
     the residual operator for that term is undefined there.
     """
@@ -114,47 +125,43 @@ def sos_certificate(
         raise DensityInput("certificates are assembled on pure states")
     sums = assignment_sums(f, state, observables)
     dims = state.subsystem_dims
-    central_dim = dims[-1]
-    psi = state.data
+    ws = _Workspace(f, dims)
+    central = np.array([o.matrix for o in observables.central])[ws.central_index]
+    psi = state.data[:, None]
+    t_psi = ws.apply(psi, sums + [None]).reshape(f.n_terms, -1)
+    b_psi = ws.apply(psi, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
+    correlators = _correlators(ws, psi, psi, sums + [central])
+    omegas = np.linalg.norm(t_psi, axis=1).tolist()
 
-    omegas, weights, residuals, correlators, ms = [], [], [], [], []
+    eye = [np.eye(d) for d in dims]
+    gamma = np.zeros((len(psi), len(psi)), dtype=complex)
+    central_sq = 0.0
+    weights, residuals = [], []
     for i, term in enumerate(f.terms):
-        t_edge = tensor_all([s[i] for s in sums] + [np.eye(central_dim)])
-        b_full = tensor_all(
-            [np.eye(d) for d in dims[:-1]]
-            + [observables.central[term.central_input].matrix]
-        )
-        t_psi = t_edge @ psi
-        omega = float(np.linalg.norm(t_psi))
+        omega, value_i = omegas[i], correlators[i]
         if omega <= tol.ZERO_NORM:
             raise ZeroNorm(
                 f"signed observable sum of term {term.central_input} "
                 "annihilates the state"
             )
-        value_i = float(np.vdot(psi, b_full @ t_psi).real)
         if f.combiner == LINEAR:
             sign = 1.0
             weight = omega
         else:
             sign = -1.0 if value_i < 0 else 1.0
             weight = _root_sum_weight(omega, abs(value_i) / omega, f.n)
-        m_op = sign * t_edge / omega - b_full
-        omegas.append(omega)
         weights.append(weight)
-        correlators.append(value_i)
-        residuals.append(float(np.linalg.norm(m_op @ psi)))
-        ms.append(m_op)
+        residuals.append(float(np.linalg.norm(sign * t_psi[i] / omega - b_psi[i])))
+        edge = [s[i] for s in sums]
+        gamma += tensor_all([a @ a for a in edge] + [weight / (2 * omega**2) * eye[-1]])
+        gamma -= tensor_all(edge + [weight * sign / omega * central[i]])
+        central_sq = central_sq + weight / 2 * central[i] @ central[i]
+    gamma += tensor_all(eye[:-1] + [central_sq])
+    if not gamma.imag.any():
+        gamma = gamma.real
 
-    if f.combiner == LINEAR:
-        bound = float(sum(omegas))
-        value = float(sum(correlators))
-    else:
-        bound = float(sum(o ** (1.0 / f.n) for o in omegas))
-        value = float(sum(abs(v) ** (1.0 / f.n) for v in correlators))
-
-    gamma = sum(w / 2.0 * (m.conj().T @ m) for w, m in zip(weights, ms))
-    gamma_min = float(np.linalg.eigvalsh(gamma)[0])
-
+    bound = combine(f, omegas)
+    value = combine(f, correlators)
     return SOSReport(
         functional=f,
         value=value,
@@ -164,7 +171,7 @@ def sos_certificate(
         residuals=tuple(residuals),
         bound_from_omegas=bound,
         gap=bound - value,
-        gamma_min_eig=gamma_min,
+        gamma_min_eig=float(np.linalg.eigvalsh(gamma)[0]),
     )
 
 

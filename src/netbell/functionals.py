@@ -199,7 +199,8 @@ def assignment_sums(
     """Per-party (T, d, d) signed observable sums of an assignment, after
     checking that the assignment and state fit the functional: one row of
     m observables per edge party, an observable for every central input,
-    and one state slot per party plus the central slot."""
+    one state slot per party plus the central slot, and every observable
+    of the slot's dimension."""
     parties = f.parties
     if len(observables.edge) != parties:
         raise MissingObservable(
@@ -214,10 +215,20 @@ def assignment_sums(
         raise MissingObservable(
             f"need {f.n_central_inputs} central observables, got {len(observables.central)}"
         )
-    if len(state.subsystem_dims) != parties + 1:
+    dims = state.subsystem_dims
+    if len(dims) != parties + 1:
         raise DimensionMismatch(
-            f"state must have {parties + 1} slots, got {len(state.subsystem_dims)}"
+            f"state must have {parties + 1} slots, got {len(dims)}"
         )
+    slots = [(f"edge party {k}", row) for k, row in enumerate(observables.edge)]
+    slots.append(("central party", observables.central))
+    for (where, row), dim in zip(slots, dims):
+        for x, o in enumerate(row):
+            if o.dim != dim:
+                raise DimensionMismatch(
+                    f"{where} observable {x} has dimension {o.dim}, "
+                    f"its state slot {dim}"
+                )
     return [
         f.signed_sums(k, [o.matrix for o in row])
         for k, row in enumerate(observables.edge)

@@ -50,9 +50,8 @@ from .states import (
 )
 
 TOTAL_DIMENSION_GUARD = 2**12
-_DENSE_EIG_LIMIT = 512
+_DENSE_EIG_LIMIT = 128
 _WEIGHT_CLAMP = 1e-9
-_MONOTONE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,15 @@ def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndar
         op = scipy.sparse.linalg.LinearOperator(
             (total, total), matvec=matvec, dtype=complex
         )
-        _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=psi0)
+        try:
+            _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=psi0)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            # A start vector that is already a top eigenvector to rounding
+            # (the state at an optimum) can leave a residual ARPACK's
+            # default machine-precision tolerance never accepts.
+            _, vecs = scipy.sparse.linalg.eigsh(
+                op, k=1, which="LA", v0=psi0, tol=tol.LANCZOS_RETRY
+            )
         vec = vecs[:, 0]
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (np.conj(vec[pivot]) / abs(vec[pivot]))

@@ -24,5 +24,9 @@ TRACE_ONE = 1e-12
 # Largest imaginary residue silently discarded from a real expectation.
 IMAG_DISCARD = 1e-10
 
+# Relative Ritz residual accepted when Lanczos is retried after failing to
+# converge at machine precision.
+LANCZOS_RETRY = 1e-12
+
 # Signed observable sums with state-norm below this are degenerate.
 ZERO_NORM = 1e-12

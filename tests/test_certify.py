@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell import optimize as op
 from netbell.certify import (
+    _root_sum_weight,
     bilocal_max_pair,
     correlation_matrix,
     correspondence_scan,
@@ -13,11 +16,13 @@ from netbell.certify import (
 )
 from netbell.errors import DensityInput, DimensionMismatch, ZeroNorm
 from netbell.functionals import (
+    LINEAR,
     Kind,
     ObservableAssignment,
     build_functional,
 )
 from netbell.optimize import SeesawConfig, optimal_assignment, seesaw_optimize
+from netbell.qcore import tensor_all
 from netbell.states import (
     SIGMA_X,
     SIGMA_Z,
@@ -207,6 +212,104 @@ class TestSOSCertificate:
         _, assignment = optimal_assignment(f)
         with pytest.raises(DensityInput):
             sos_certificate(f, werner(0.9), assignment)
+
+
+ALL_KINDS = [
+    (Kind.CHSH, 2, 1),
+    (Kind.CHAINED, 3, 1),
+    (Kind.GM, 3, 1),
+    (Kind.BILOCAL, 2, 2),
+    (Kind.STAR, 2, 3),
+    (Kind.DELTA, 3, 2),
+    (Kind.XI, 3, 2),
+]
+
+
+def dense_certificate(f, state, assignment):
+    """The certificate built term by term from dense operators: T_i, B_i
+    and M_i = s_i T_i / omega_i - B_i as full matrices, and
+    gamma = sum_i (w_i/2) M_i^dag M_i by matrix products."""
+    dims = state.subsystem_dims
+    psi = state.data
+    omegas, weights, residuals, correlators, gamma = [], [], [], [], 0
+    for i, term in enumerate(f.terms):
+        edge = [f.signed_sums(k, [o.matrix for o in row])[i]
+                for k, row in enumerate(assignment.edge)]
+        t_edge = tensor_all(edge + [np.eye(dims[-1])])
+        b_full = tensor_all([np.eye(d) for d in dims[:-1]]
+                            + [assignment.central[term.central_input].matrix])
+        omega = np.linalg.norm(t_edge @ psi)
+        value_i = np.vdot(psi, b_full @ t_edge @ psi).real
+        if f.combiner == LINEAR:
+            sign, weight = 1.0, omega
+        else:
+            sign = -1.0 if value_i < 0 else 1.0
+            weight = _root_sum_weight(omega, abs(value_i) / omega, f.n)
+        m_op = sign * t_edge / omega - b_full
+        omegas.append(omega)
+        weights.append(weight)
+        correlators.append(value_i)
+        residuals.append(np.linalg.norm(m_op @ psi))
+        gamma = gamma + weight / 2 * (m_op.conj().T @ m_op)
+    if f.combiner == LINEAR:
+        bound, value = sum(omegas), sum(correlators)
+    else:
+        bound = sum(o ** (1 / f.n) for o in omegas)
+        value = sum(abs(v) ** (1 / f.n) for v in correlators)
+    return {
+        "value": value,
+        "correlators": correlators,
+        "omegas": omegas,
+        "weights": weights,
+        "residuals": residuals,
+        "bound_from_omegas": bound,
+        "gap": bound - value,
+        "gamma_min_eig": np.linalg.eigvalsh(gamma)[0],
+    }, gamma
+
+
+def assert_matches_dense(f, state, assignment):
+    expected, gamma = dense_certificate(f, state, assignment)
+    rep = sos_certificate(f, state, assignment)
+    for field, want in expected.items():
+        got = getattr(rep, field)
+        assert np.allclose(got, want, rtol=0, atol=1e-10), field
+    return gamma
+
+
+class TestCertificateMatchesDense:
+    @pytest.mark.parametrize("kind,m,n", ALL_KINDS)
+    def test_random_complex_assignments(self, kind, m, n):
+        f = build_functional(kind, m, n)
+        rng = np.random.default_rng(len(f.terms) + 10 * n)
+        for _ in range(4):
+            assert_matches_dense(f, *random_assignment(f, rng))
+
+    @pytest.mark.parametrize(
+        "kind,m,n",
+        [(Kind.CHSH, 2, 1), (Kind.CHAINED, 4, 1), (Kind.STAR, 2, 3),
+         (Kind.XI, 3, 2), (Kind.XI, 4, 2)],
+    )
+    def test_optimal_assignment_real_gamma(self, kind, m, n):
+        f = build_functional(kind, m, n)
+        gamma = assert_matches_dense(f, *optimal_assignment(f))
+        assert not np.any(gamma.imag)
+
+    def test_total_dimension_above_128(self):
+        f = build_functional(Kind.XI, 3, 4)
+        state, assignment = random_assignment(f, np.random.default_rng(3))
+        assert state.data.size == 256
+        assert_matches_dense(f, state, assignment)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_gap_is_weighted_squared_residuals(kind, seed):
+    f = build_functional(*kind)
+    rep = sos_certificate(f, *random_assignment(f, np.random.default_rng(seed)))
+    lhs = sum(w / 2 * r**2 for w, r in zip(rep.weights, rep.residuals))
+    assert rep.gap == pytest.approx(lhs, abs=1e-8)
+    assert rep.gamma_min_eig >= -1e-8
 
 
 class TestCorrespondenceScan:

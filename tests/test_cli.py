@@ -294,6 +294,12 @@ def _chsh_settings():
     }
 
 
+def _widened(obs):
+    """A serialized observable A as A (x) I_2: still an observable, but
+    twice the dimension of its state slot."""
+    return serialize.matrix_to_json(np.kron(serialize.matrix_from_json(obs), np.eye(2)))
+
+
 BAD_SETTINGS = {
     "density_state": lambda s: {
         **s,
@@ -307,6 +313,12 @@ BAD_SETTINGS = {
     },
     "one_edge_observable": lambda s: {
         **s, "edge_observables": [s["edge_observables"][0][:1]]
+    },
+    "edge_observables_4x4": lambda s: {
+        **s, "edge_observables": [[_widened(o) for o in s["edge_observables"][0]]]
+    },
+    "central_observables_8x8": lambda s: {
+        **s, "central_observables": [_widened(o) for o in s["central_observables"]]
     },
 }
 
