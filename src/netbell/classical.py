@@ -3,9 +3,10 @@ strategies, randomized n-local mixture sampling, and the root-sum lemma.
 
 Sources are independent, so a deterministic strategy fixes one +1/-1
 response per input for every edge party and for the central party. The
-enumeration sweeps all edge response tables and resolves the central
-responses exactly (for every edge table the optimal central choice is
-computable in closed form, which coincides with enumerating them).
+enumeration sweeps one edge response table per sign orbit and resolves
+the central responses exactly (for every edge table the optimal central
+choice is computable in closed form, which coincides with enumerating
+them).
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatc
 from .functionals import LINEAR, Functional, combine
 
 SEARCH_SPACE_GUARD = 2**34
+MIXTURE_GUARD = 2**22
+# np.einsum takes at most 64 operands (numpy 2): two per source, the
+# central table and the output.
+_MAX_MIXTURE_SOURCES = 31
 _CHUNK = 1 << 16
 
 
@@ -111,17 +116,27 @@ def enumerate_deterministic_max(
 ) -> tuple[float, DeterministicStrategy]:
     """Exact maximum over all deterministic strategies with a deterministic
     witness (the lexicographically smallest maximizer, entries ordered edge
-    party by edge party and then central, with -1 before +1)."""
+    party by edge party and then central, with -1 before +1).
+
+    Only one table per sign orbit is swept. Flipping every response of one
+    edge party negates that party's factor in every term, exactly in
+    floating point; root-sum kinds take |.| and for linear kinds the
+    closed-form central choice absorbs the sign, so the value is unchanged.
+    Each orbit's lexicographically smallest member has every party's first
+    response -1, so sweeping the 2^(m-1) such tables per party keeps both
+    the maximum and the smallest witness, on a sweep 2^parties times
+    smaller than all (2^m)^parties edge tables.
+    """
     parties = f.parties
     m, n_terms = f.m, f.n_terms
     space = (2**m) ** parties * 2**f.n_central_inputs
     if space > SEARCH_SPACE_GUARD:
         raise SearchSpaceTooLarge(f"search space {space} exceeds {SEARCH_SPACE_GUARD}")
 
-    signs = _edge_sign_vectors(m)
+    signs = _edge_sign_vectors(m)[: 2 ** (m - 1)]
     per_party = [signs @ f.coefficient_matrix(k).T for k in range(parties)]
 
-    radix = 2**m
+    radix = len(signs)
     total = radix**parties
     best_value = -np.inf
     best_index = -1
@@ -153,41 +168,56 @@ def enumerate_deterministic_max(
     return best_value, witness
 
 
+def _mixture_terms(
+    f: Functional,
+    weights: Sequence[np.ndarray],
+    responses: Sequence[np.ndarray],
+    central: np.ndarray,
+) -> np.ndarray:
+    """Per-term correlators, shape (B, T), of B finite n-local mixtures.
+
+    Every array carries a leading batch axis: ``weights[k]`` is (B, s_k),
+    ``responses[k]`` is (B, s_k, m) and ``central`` is (B, s_1, ..., s_n,
+    n_central_inputs). One einsum over integer sublists, so the number of
+    sources is not capped by a letter alphabet: label 0 is the batch,
+    labels 1..n the sources and n + 1 the term.
+    """
+    parties = f.parties
+    sources = list(range(1, parties + 1))
+    term = parties + 1
+    operands: list = []
+    for k in range(parties):
+        operands += [weights[k], [0, sources[k]]]
+    for k in range(parties):
+        operands += [responses[k] @ f.coefficient_matrix(k).T, [0, sources[k], term]]
+    central_by_term = central[..., [t.central_input for t in f.terms]]
+    operands += [central_by_term, [0, *sources, term]]
+    return np.einsum(*operands, [0, term])
+
+
 def eval_model(f: Functional, model: HiddenVariableModel) -> float:
     """Functional value of a finite n-local mixture."""
     parties = f.parties
     if len(model.weights) != parties or len(model.edge_responses) != parties:
         raise ShapeMismatch(f"model must carry {parties} sources")
-    letters = "abcdefgh"
-    if parties > len(letters):
-        raise ShapeMismatch("too many sources for mixture evaluation")
 
-    factors = []
+    weights = [np.asarray(w, dtype=float) for w in model.weights]
+    responses = [np.asarray(r, dtype=float) for r in model.edge_responses]
     for k in range(parties):
-        w = np.asarray(model.weights[k], dtype=float)
-        resp = np.asarray(model.edge_responses[k], dtype=float)
-        if resp.shape != (w.shape[0], f.m):
+        if responses[k].shape != (weights[k].shape[0], f.m):
             raise ShapeMismatch(f"edge response table {k} must be support x {f.m}")
-        factors.append(resp @ f.coefficient_matrix(k).T)
 
     central = np.asarray(model.central_responses, dtype=float)
-    expected = tuple(np.asarray(w).shape[0] for w in model.weights)
+    expected = tuple(w.shape[0] for w in weights)
     if central.shape != expected + (f.n_central_inputs,):
         raise ShapeMismatch(
             f"central table must have shape {expected + (f.n_central_inputs,)}"
         )
 
-    src = letters[:parties]
-    subs = (
-        ",".join(list(src) + [c + "i" for c in src])
-        + ","
-        + src
-        + "i->i"
+    per_term = _mixture_terms(
+        f, [w[None] for w in weights], [r[None] for r in responses], central[None]
     )
-    weights = [np.asarray(w, dtype=float) for w in model.weights]
-    central_by_term = central[..., [t.central_input for t in f.terms]]
-    per_term = np.einsum(subs, *weights, *factors, central_by_term)
-    return combine(f, per_term.tolist())
+    return combine(f, per_term[0].tolist())
 
 
 def random_model(
@@ -215,16 +245,49 @@ def sample_nlocal_value(
     """Maximum functional value over randomly drawn n-local mixtures.
 
     Reproducible: trial t uses the t-th child of ``SeedSequence(seed)``, so
-    the result does not depend on evaluation order.
+    the result does not depend on evaluation order. Models are drawn one
+    per trial, exactly as ``random_model`` draws them, and evaluated by
+    ``_mixture_terms`` in chunks whose central tables hold at most
+    ``_CHUNK`` entries together, so memory does not grow with ``trials``.
+    Each trial's value goes through ``combine``, and the returned value is
+    ``eval_model`` of the first maximizer. It therefore equals the maximum
+    of ``eval_model`` over the trials one by one: numpy may sum a batched
+    einsum in another order than a one-model call for some table shapes,
+    which moves a trial's value by at most a few ulps and could only pick
+    another maximizer if two trials tied to within that.
+    Raises ``SearchSpaceTooLarge`` before any draw when one central table
+    would exceed ``MIXTURE_GUARD`` entries or the model would have more
+    than ``_MAX_MIXTURE_SOURCES`` sources.
     """
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
+    parties = f.parties
+    table = support_size**parties * f.n_central_inputs
+    if table > MIXTURE_GUARD or parties > _MAX_MIXTURE_SOURCES:
+        raise SearchSpaceTooLarge(
+            f"mixture over {parties} sources of support {support_size} needs "
+            f"{table} central table entries; limits are {MIXTURE_GUARD} entries "
+            f"and {_MAX_MIXTURE_SOURCES} sources"
+        )
     children = np.random.SeedSequence(seed).spawn(trials)
-    best = -np.inf
-    for child in children:
-        model = random_model(f, support_size, np.random.default_rng(child))
-        best = max(best, eval_model(f, model))
-    return float(best)
+    chunk = max(1, _CHUNK // max(table, 1))
+    best_value, best_model = -np.inf, None
+    for start in range(0, trials, chunk):
+        models = [
+            random_model(f, support_size, np.random.default_rng(child))
+            for child in children[start : start + chunk]
+        ]
+        terms = _mixture_terms(
+            f,
+            [np.stack([mo.weights[k] for mo in models]) for k in range(parties)],
+            [np.stack([mo.edge_responses[k] for mo in models]) for k in range(parties)],
+            np.stack([mo.central_responses for mo in models]),
+        )
+        values = [combine(f, row) for row in terms.tolist()]
+        arg = int(np.argmax(values))
+        if values[arg] > best_value:
+            best_value, best_model = values[arg], models[arg]
+    return eval_model(f, best_model)
 
 
 def root_sum_lemma_check(z: Sequence[Sequence[float]] | np.ndarray, n: int) -> bool:

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from netbell import classical
 from netbell.classical import (
     DeterministicStrategy,
+    _roots,
     enumerate_deterministic_max,
     eval_model,
     eval_strategy,
@@ -12,6 +16,7 @@ from netbell.classical import (
 )
 from netbell.errors import NegativeEntry, SearchSpaceTooLarge, ShapeMismatch
 from netbell.functionals import (
+    LINEAR,
     Kind,
     build_functional,
     classical_bound,
@@ -115,6 +120,88 @@ class TestEnumerate:
     def test_search_space_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             enumerate_deterministic_max(build_functional(Kind.GM, 6))
+
+
+def full_sweep_max(f):
+    """Reference: sweep all (2^m)^parties edge tables in lexicographic order
+    (-1 before +1) and keep the first maximizer, as the sweep did before it
+    was cut to one table per sign orbit."""
+    tables = list(itertools.product((-1, 1), repeat=f.m))
+    coefficients = [f.coefficient_matrix(k) for k in range(f.parties)]
+    best_value, best_edge, best_prod = -np.inf, None, None
+    for edge in itertools.product(tables, repeat=f.parties):
+        prod = np.ones(f.n_terms)
+        for k, row in enumerate(edge):
+            prod *= coefficients[k] @ np.array(row, dtype=float)
+        if f.combiner == LINEAR:
+            value = float(np.abs(prod).sum())
+        else:
+            value = float(_roots(prod, f.n).sum())
+        if value > best_value:
+            best_value, best_edge, best_prod = value, edge, prod
+    if f.combiner == LINEAR:
+        central = tuple(1 if p > 0 else -1 for p in best_prod)
+    else:
+        central = (-1,) * f.n_central_inputs
+    return best_value, DeterministicStrategy(best_edge, central)
+
+
+@pytest.mark.parametrize(
+    "kind,m,n",
+    [
+        (Kind.CHSH, 2, 1),
+        (Kind.CHAINED, 4, 1),
+        (Kind.GM, 4, 1),
+        (Kind.GM, 5, 1),
+        (Kind.BILOCAL, 2, 2),
+        (Kind.STAR, 2, 4),
+        (Kind.XI, 3, 3),
+        (Kind.DELTA, 3, 3),
+        (Kind.XI, 4, 2),
+    ],
+)
+def test_orbit_sweep_matches_full_sweep(kind, m, n):
+    f = build_functional(kind, m, n)
+    value, witness = enumerate_deterministic_max(f)
+    assert (value, witness) == full_sweep_max(f)
+    assert eval_strategy(f, witness) == value
+
+
+ALL_KINDS = [
+    build_functional(Kind.CHSH, 2),
+    build_functional(Kind.CHAINED, 3),
+    build_functional(Kind.GM, 3),
+    BILOCAL,
+    build_functional(Kind.STAR, 2, 3),
+    build_functional(Kind.DELTA, 3, 2),
+    XI32,
+]
+
+
+def loop_sample(f, trials, support_size, seed):
+    """Reference: one eval_model per trial, on the trial's own seed child."""
+    return max(
+        eval_model(f, random_model(f, support_size, np.random.default_rng(c)))
+        for c in np.random.SeedSequence(seed).spawn(trials)
+    )
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("support", [1, 2, 3])
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
+    def test_matches_one_model_at_a_time(self, f, support):
+        assert sample_nlocal_value(f, 150, support, seed=4) == loop_sample(f, 150, support, 4)
+
+    def test_every_trial_count(self, monkeypatch):
+        # Chunks of 32 // (4 * 2) = 4 models: the counts 1..30 end on a last
+        # chunk of every possible length.
+        monkeypatch.setattr(classical, "_CHUNK", 32)
+        values = [
+            eval_model(BILOCAL, random_model(BILOCAL, 2, np.random.default_rng(c)))
+            for c in np.random.SeedSequence(3).spawn(30)
+        ]
+        for trials in range(1, 31):
+            assert sample_nlocal_value(BILOCAL, trials, 2, seed=3) == max(values[:trials])
 
 
 class TestSampling:

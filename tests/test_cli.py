@@ -197,6 +197,30 @@ class TestBoundCommand:
         assert code == 0
         assert record_of(out)["value"] <= 2.0 + 1e-12
 
+    def test_sample_more_than_eight_sources(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--expr", "star", "--n", "9", "--method", "sample",
+            "--trials", "2",
+        )
+        assert code == 0
+        assert record_of(out)["value"] <= 2.0
+
+    @pytest.mark.parametrize(
+        "n,support",
+        [("8", "60"), ("32", "1")],
+        ids=["table_entries", "sources"],
+    )
+    def test_sample_guard_exit_3(self, capsys, n, support):
+        # Refused before any draw: the support-60 table alone would be 2.4 PiB.
+        code, out, err = run_cli(
+            capsys, "bound", "--expr", "star", "--n", n, "--method", "sample",
+            "--support", support, "--trials", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("guard:")
+
     def test_search_guard_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "bound", "--expr", "gm", "--m", "6", "--method", "enumerate"
