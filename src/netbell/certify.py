@@ -25,7 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DensityInput, DimensionMismatch, OutOfRange, ZeroNorm
+from .errors import (
+    DensityInput,
+    DimensionGuard,
+    DimensionMismatch,
+    OutOfRange,
+    ZeroNorm,
+)
 from .functionals import (
     LINEAR,
     Functional,
@@ -35,7 +41,13 @@ from .functionals import (
     build_functional,
     combine,
 )
-from .optimize import SeesawConfig, _correlators, _Workspace, seesaw_optimize
+from .optimize import (
+    TOTAL_DIMENSION_GUARD,
+    SeesawConfig,
+    _correlators,
+    _Workspace,
+    seesaw_optimize,
+)
 from .qcore import tensor_all
 from .states import (
     PAULIS,
@@ -45,6 +57,12 @@ from .states import (
 )
 
 
+# K_rs^T for K_rs = sigma_r (x) sigma_s, r and s in Pauli order (x, y, z):
+# entry 3r + s of the einsum below is sum_ij dm[i,j] K_rs[j,i] = Tr[dm K_rs].
+_PAULI_PAIRS = np.array([np.kron(sr, ss).T for sr in PAULIS for ss in PAULIS])
+_PAULI_PAIRS.setflags(write=False)
+
+
 def correlation_matrix(rho: QuantumState) -> np.ndarray:
     """3x3 Pauli correlation matrix t[r,s] = Tr[rho (sigma_r x sigma_s)],
     Pauli order (x, y, z)."""
@@ -52,12 +70,7 @@ def correlation_matrix(rho: QuantumState) -> np.ndarray:
         raise DimensionMismatch(
             f"need a two-qubit state, got subsystem dims {rho.subsystem_dims}"
         )
-    dm = rho.density_matrix()
-    t = np.empty((3, 3))
-    for r, sr in enumerate(PAULIS):
-        for s, ss in enumerate(PAULIS):
-            t[r, s] = np.einsum("ij,ji->", dm, np.kron(sr, ss)).real
-    return t
+    return np.einsum("ij,kij->k", rho.density_matrix(), _PAULI_PAIRS).real.reshape(3, 3)
 
 
 def _descending_singular_values(t: np.ndarray) -> np.ndarray:
@@ -67,7 +80,11 @@ def _descending_singular_values(t: np.ndarray) -> np.ndarray:
 
 def horodecki_chsh_max(rho: QuantumState) -> float:
     """Closed-form CHSH maximum 2 sqrt(t1 + t2) from the two largest
-    eigenvalues of T^T T."""
+    eigenvalues of T^T T.
+
+    The maximum is over traceless qubit observables a.sigma (unit Bloch
+    vectors a) on each side, not over all Hermitian involutions: +-I would
+    reach 2 on any state."""
     t = correlation_matrix(rho)
     sq = np.clip(np.linalg.eigvalsh(t.T @ t)[::-1], 0.0, None)
     return float(2.0 * math.sqrt(sq[0] + sq[1]))
@@ -75,7 +92,11 @@ def horodecki_chsh_max(rho: QuantumState) -> float:
 
 def bilocal_max_pair(rho_ab: QuantumState, rho_bc: QuantumState) -> float:
     """Two-source network maximum 2 sqrt(a1 h1 + a2 h2) from the descending
-    singular values of the two correlation matrices."""
+    singular values of the two correlation matrices.
+
+    Like horodecki_chsh_max, the maximum is over traceless qubit observables
+    a.sigma for the edge parties and products of them for the central
+    party."""
     alpha = _descending_singular_values(correlation_matrix(rho_ab))
     eta = _descending_singular_values(correlation_matrix(rho_bc))
     return float(2.0 * math.sqrt(alpha[0] * eta[0] + alpha[1] * eta[1]))
@@ -212,6 +233,13 @@ def _draw_states(
 def _fixed_state_max(
     f: Functional, state: QuantumState, restarts: int, seed: int
 ) -> float:
+    """Seesaw over the observables with the state held fixed.
+
+    Every observable ranges over all Hermitian involutions (so +-I too),
+    and the central one acts on the whole 2^n-dimensional central slot,
+    not only on products of per-source qubit observables. The value is
+    the best of ``restarts`` local optima: a lower bound on the maximum
+    over that class, not the maximum itself."""
     cfg = SeesawConfig(restarts=restarts, seed=seed, tol=1e-13, max_iters=300)
     return seesaw_optimize(f, cfg, fixed_state=state).value
 
@@ -235,6 +263,20 @@ def correspondence_scan(
     are compared against the geometric-mean bound
     network <= prod_k (edge_k)^(1/n).
 
+    The two routes maximize over different observable classes. The closed
+    forms (horodecki_chsh_max, bilocal_max_pair) range over traceless
+    qubit observables a.sigma. The fixed-state seesaw (star and xi network
+    values, xi edge values) ranges over all Hermitian involutions, with
+    the central observable on the whole 2^n central slot, and its value
+    is a restart-limited lower bound (``edge_restarts`` restarts). A star
+    trial therefore compares an all-involution network value with
+    traceless-only edge values.
+
+    ``m`` and ``n`` must define the family's functional (bilocal is
+    m = n = 2, star has m = 2); otherwise InvalidScenario is raised.
+    DimensionGuard is raised before any state is drawn when the n sources
+    span more than TOTAL_DIMENSION_GUARD dimensions.
+
     For the two-source closed-form family the scan additionally records
     whether "both edges beat the local bound implies the network does"
     held. That implication is a theorem for pure sources (the top
@@ -246,10 +288,15 @@ def correspondence_scan(
         raise OutOfRange("trials must be at least 1")
     if family not in ("bilocal", "star", "xi"):
         raise ValueError(f"unknown family {family!r}")
-    if family == "bilocal":
-        n, m = 2, 2
-    if family == "star":
-        m = 2
+    # Rejects the (m, n) that do not define the family's functional:
+    # bilocal is m = n = 2 and star has m = 2.
+    net_f = build_functional(Kind(family), m, n)
+    # n two-qubit sources span 4^n dimensions; check before any state,
+    # since the product density alone is (4^n) x (4^n).
+    if 4**n > TOTAL_DIMENSION_GUARD:
+        raise DimensionGuard(
+            f"total dimension {4**n} exceeds guard {TOTAL_DIMENSION_GUARD}"
+        )
 
     results = []
     implication_failures = 0 if family == "bilocal" else None
@@ -264,7 +311,6 @@ def correspondence_scan(
         else:
             if family == "star":
                 edge_values = tuple(horodecki_chsh_max(s) for s in states)
-                net_f = build_functional(Kind.STAR, 2, n)
             else:
                 edge_f = build_functional(Kind.CHAINED, m, 1)
                 edge_values = tuple(
@@ -273,7 +319,6 @@ def correspondence_scan(
                     )
                     for s in states
                 )
-                net_f = build_functional(Kind.XI, m, n)
             network = _fixed_state_max(
                 net_f,
                 network_product_state(states),

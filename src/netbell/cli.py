@@ -147,12 +147,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _resolve_n(expr: str, n: int | None) -> int:
-    kind = Kind(expr)
-    if kind in BIPARTITE_KINDS:
-        return 1
-    if kind is Kind.BILOCAL:
-        return 2
-    return 2 if n is None else n
+    """The given --n; without one, 1 for bipartite kinds and 2 otherwise.
+    A value the kind does not admit is left for build_functional to reject."""
+    if n is not None:
+        return n
+    return 1 if Kind(expr) in BIPARTITE_KINDS else 2
 
 
 def _build_functional_from_args(args) -> "Functional":
@@ -296,11 +295,14 @@ def cmd_certify(args) -> int:
 def cmd_correspondence(args) -> int:
     started = time.perf_counter()
     family = args.family
+    m = args.m
+    if m is None:
+        m = 3 if family == "xi" else 2
     report = correspondence_scan(
         family,
         trials=args.trials,
         seed=args.seed,
-        m=args.m,
+        m=m,
         n=_resolve_n(family, args.n),
         edge_restarts=args.edge_restarts,
         ranks=args.ranks,
@@ -420,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="network-versus-edges bound scan")
     p_corr.add_argument("--family", required=True,
                         choices=["bilocal", "star", "xi"])
-    p_corr.add_argument("--m", type=int, default=3)
+    p_corr.add_argument("--m", type=int, default=None,
+                        help="settings per edge party (default 3 for xi, 2 otherwise)")
     p_corr.add_argument("--n", type=int, default=None)
     p_corr.add_argument("--trials", type=int, default=100)
     p_corr.add_argument("--seed", type=int, default=0)

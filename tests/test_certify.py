@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from netbell import optimize as op
 from netbell.certify import (
+    _PAULI_PAIRS,
     _root_sum_weight,
     bilocal_max_pair,
     correlation_matrix,
@@ -24,6 +25,7 @@ from netbell.functionals import (
 from netbell.optimize import SeesawConfig, optimal_assignment, seesaw_optimize
 from netbell.qcore import tensor_all
 from netbell.states import (
+    PAULIS,
     SIGMA_X,
     SIGMA_Z,
     Observable,
@@ -59,6 +61,29 @@ class TestCorrelationMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             correlation_matrix(QuantumState.pure([1, 0], (2,)))
+
+    @staticmethod
+    def kron_reference(rho):
+        # The per-entry formula Tr[rho (sigma_r x sigma_s)] with one kron
+        # per Pauli pair, against which the Pauli-pair tensor must agree.
+        dm = rho.density_matrix()
+        t = np.empty((3, 3))
+        for r, sr in enumerate(PAULIS):
+            for s, ss in enumerate(PAULIS):
+                t[r, s] = np.einsum("ij,ji->", dm, np.kron(sr, ss)).real
+        return t
+
+    def test_bit_identical_to_kron_reference(self):
+        states = [random_two_qubit_density(seed, 1 + seed % 4) for seed in range(400)]
+        states += [schmidt_pure_two_qubit(th) for th in np.linspace(0.0, np.pi / 2, 50)]
+        states += [werner(p) for p in np.linspace(0.0, 1.0, 21)]
+        for rho in states:
+            assert np.array_equal(correlation_matrix(rho), self.kron_reference(rho))
+
+    def test_pauli_pairs_read_only(self):
+        assert not _PAULI_PAIRS.flags.writeable
+        with pytest.raises(ValueError):
+            _PAULI_PAIRS[0, 0, 0] = 0.0
 
 
 class TestHorodecki:

@@ -377,6 +377,23 @@ class TestInvalidInputExit2:
         assert out == ""
         assert word in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--expr", "chsh", "--n", "3"),
+            ("optimize", "--expr", "bilocal", "--n", "3"),
+            ("bound", "--expr", "gm", "--m", "3", "--n", "4"),
+            ("correspondence", "--family", "star", "--m", "5"),
+        ],
+    )
+    def test_conflicting_m_or_n(self, capsys, argv):
+        # An --m or --n the kind does not admit is refused, never replaced.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("invalid scenario:")
+
 
 class TestCorrespondenceCommand:
     def test_bilocal_scan_with_csv(self, capsys, tmp_path):
@@ -400,6 +417,19 @@ class TestCorrespondenceCommand:
         )
         assert code == 0
         assert record_of(out)["artifacts"]["satisfied"] is True
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [("--family", "star", "--n", "7"), ("--family", "xi", "--m", "3", "--n", "7")],
+    )
+    def test_dimension_guard_before_any_state(self, capsys, scenario):
+        # 4^7 = 16384 > 4096. The guard must fire before any state is
+        # drawn: the product density of seven sources alone takes 4 GiB.
+        code, out, err = run_cli(capsys, "correspondence", *scenario, "--trials", "1")
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("guard:")
 
     def test_violation_exit_6(self, capsys, monkeypatch):
         import netbell.certify as certify_mod
