@@ -147,7 +147,7 @@ def sos_certificate(
     sums = assignment_sums(f, state, observables)
     dims = state.subsystem_dims
     ws = _Workspace(f, dims)
-    central = np.array([o.matrix for o in observables.central])[ws.central_index]
+    central = np.array([o.matrix for o in observables.central])
     psi = state.data[:, None]
     t_psi = ws.apply(psi, sums + [None]).reshape(f.n_terms, -1)
     b_psi = ws.apply(psi, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
@@ -158,13 +158,10 @@ def sos_certificate(
     gamma = np.zeros((len(psi), len(psi)), dtype=complex)
     central_sq = 0.0
     weights, residuals = [], []
-    for i, term in enumerate(f.terms):
+    for i in range(f.n_terms):
         omega, value_i = omegas[i], correlators[i]
         if omega <= tol.ZERO_NORM:
-            raise ZeroNorm(
-                f"signed observable sum of term {term.central_input} "
-                "annihilates the state"
-            )
+            raise ZeroNorm(f"signed observable sum of term {i} annihilates the state")
         if f.combiner == LINEAR:
             sign = 1.0
             weight = omega

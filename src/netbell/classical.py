@@ -73,13 +73,10 @@ def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
     _check_pm_one(edge, "edge response")
     _check_pm_one(central, "central response")
 
-    values = []
-    for term in f.terms:
-        prod = 1.0
-        for k in range(parties):
-            prod *= float(np.dot(term.signs[k], edge[k]))
-        values.append(prod * central[term.central_input])
-    return combine(f, values)
+    # A support-1 mixture of weight 1: every product is an integer, so exact.
+    ones = [np.ones((1, 1))] * parties
+    central = central.reshape((1,) * (parties + 1) + (-1,))
+    return combine(f, _mixture_terms(f, ones, edge[:, None, None], central)[0].tolist())
 
 
 def _roots(values: np.ndarray, n: int) -> np.ndarray:
@@ -177,10 +174,10 @@ def _mixture_terms(
     """Per-term correlators, shape (B, T), of B finite n-local mixtures.
 
     Every array carries a leading batch axis: ``weights[k]`` is (B, s_k),
-    ``responses[k]`` is (B, s_k, m) and ``central`` is (B, s_1, ..., s_n,
-    n_central_inputs). One einsum over integer sublists, so the number of
-    sources is not capped by a letter alphabet: label 0 is the batch,
-    labels 1..n the sources and n + 1 the term.
+    ``responses[k]`` is (B, s_k, m) and ``central`` is (B, s_1, ..., s_n, T),
+    one central input per term. One einsum over integer sublists, so the
+    number of sources is not capped by a letter alphabet: label 0 is the
+    batch, labels 1..n the sources and n + 1 the term.
     """
     parties = f.parties
     sources = list(range(1, parties + 1))
@@ -190,8 +187,7 @@ def _mixture_terms(
         operands += [weights[k], [0, sources[k]]]
     for k in range(parties):
         operands += [responses[k] @ f.coefficient_matrix(k).T, [0, sources[k], term]]
-    central_by_term = central[..., [t.central_input for t in f.terms]]
-    operands += [central_by_term, [0, *sources, term]]
+    operands += [central, [0, *sources, term]]
     return np.einsum(*operands, [0, term])
 
 
@@ -250,11 +246,10 @@ def sample_nlocal_value(
     ``_mixture_terms`` in chunks whose central tables hold at most
     ``_CHUNK`` entries together, so memory does not grow with ``trials``.
     Each trial's value goes through ``combine``, and the returned value is
-    ``eval_model`` of the first maximizer. It therefore equals the maximum
-    of ``eval_model`` over the trials one by one: numpy may sum a batched
-    einsum in another order than a one-model call for some table shapes,
-    which moves a trial's value by at most a few ulps and could only pick
-    another maximizer if two trials tied to within that.
+    ``eval_model`` of the first maximizer. Each batched row equals the
+    one-model ``_mixture_terms`` row bit for bit (a test checks this for
+    every kind), so the result is the maximum of ``eval_model`` over the
+    trials one by one.
     Raises ``SearchSpaceTooLarge`` before any draw when one central table
     would exceed ``MIXTURE_GUARD`` entries or the model would have more
     than ``_MAX_MIXTURE_SOURCES`` sources.

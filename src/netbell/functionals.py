@@ -67,7 +67,8 @@ def build_sign_table(m: int) -> SignTable:
 @dataclass(frozen=True)
 class TermSpec:
     """One correlator term: signed observable subsets per edge party and
-    the central-party input it multiplies."""
+    the central-party input it multiplies. Term i of a ``Functional``
+    multiplies central input i (``Functional`` checks this)."""
 
     signs: tuple[tuple[int, ...], ...]
     central_input: int
@@ -75,7 +76,12 @@ class TermSpec:
 
 @dataclass(frozen=True)
 class Functional:
-    """Term table plus combiner describing one Bell/network inequality."""
+    """Term table plus combiner describing one Bell/network inequality.
+
+    Each term owns its central input: term i multiplies the central
+    party's observable B_i, so there is one central input per term.
+    Construction raises ``InvalidScenario`` for a term that does not.
+    """
 
     kind: Kind
     m: int
@@ -83,13 +89,22 @@ class Functional:
     combiner: str
     terms: tuple[TermSpec, ...]
 
+    def __post_init__(self) -> None:
+        for i, t in enumerate(self.terms):
+            if t.central_input != i:
+                raise InvalidScenario(
+                    f"term {i} uses central input {t.central_input}; "
+                    f"term i must use central input i"
+                )
+
     @property
     def n_terms(self) -> int:
         return len(self.terms)
 
     @property
     def n_central_inputs(self) -> int:
-        return max(t.central_input for t in self.terms) + 1
+        """One central input per term."""
+        return self.n_terms
 
     @property
     def parties(self) -> int:
@@ -198,7 +213,7 @@ def assignment_sums(
 ) -> list[np.ndarray]:
     """Per-party (T, d, d) signed observable sums of an assignment, after
     checking that the assignment and state fit the functional: one row of
-    m observables per edge party, an observable for every central input,
+    m observables per edge party, exactly one central observable per term,
     one state slot per party plus the central slot, and every observable
     of the slot's dimension."""
     parties = f.parties
@@ -211,9 +226,10 @@ def assignment_sums(
             raise MissingObservable(
                 f"edge party {k} needs {f.m} observables, got {len(obs)}"
             )
-    if len(observables.central) < f.n_central_inputs:
+    if len(observables.central) != f.n_terms:
         raise MissingObservable(
-            f"need {f.n_central_inputs} central observables, got {len(observables.central)}"
+            f"need {f.n_terms} central observables, one per term, "
+            f"got {len(observables.central)}"
         )
     dims = state.subsystem_dims
     if len(dims) != parties + 1:
@@ -243,12 +259,8 @@ def eval_functional(
     """Functional value and per-term correlators for a full assignment."""
     sums = assignment_sums(f, state, observables)
     values = [
-        eval_correlator(
-            state,
-            [s[i] for s in sums],
-            observables.central[term.central_input],
-        )
-        for i, term in enumerate(f.terms)
+        eval_correlator(state, [s[i] for s in sums], central)
+        for i, central in enumerate(observables.central)
     ]
     correlators = CorrelatorSet(values=tuple(values))
     return combine(f, values), correlators

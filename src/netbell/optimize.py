@@ -58,14 +58,12 @@ _WEIGHT_CLAMP = 1e-9
 class SeesawConfig:
     """Knobs for the alternating optimization.
 
-    ``edge_dim`` is each edge party's local dimension; ``central_slot_dim``
-    is the dimension of each of the central party's n slots (defaults to
-    ``edge_dim``). ``tol`` is the relative value change that counts as
-    converged.
+    ``edge_dim`` is each edge party's local dimension and of each of the
+    central party's n slots. ``tol`` is the relative value change that
+    counts as converged.
     """
 
     edge_dim: int = 2
-    central_slot_dim: int | None = None
     max_iters: int = 400
     tol: float = 1e-12
     restarts: int = 5
@@ -74,8 +72,6 @@ class SeesawConfig:
     def __post_init__(self) -> None:
         if self.edge_dim < 2:
             raise OutOfRange("edge_dim must be at least 2")
-        if self.central_slot_dim is not None and self.central_slot_dim < 2:
-            raise OutOfRange("central_slot_dim must be at least 2")
         if self.tol <= 0:
             raise OutOfRange("tol must be positive")
         if self.restarts < 1:
@@ -121,8 +117,8 @@ def _sign_eig(h: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared geometry for one seesaw run: slot dims, coefficient tables,
-    the term -> central input map, and the batched slot contractions.
+    """Shared geometry for one seesaw run: slot dims, coefficient tables
+    and the batched slot contractions.
 
     The state travels as a (ket, bra) pair of (D, cols) arrays whose
     correlators are c_t = sum conj(bra) * (O_t ket): a pure state is
@@ -139,9 +135,6 @@ class _Workspace:
         self.dims = dims
         self.parties = len(dims) - 1
         self.coeffs = [f.coefficient_matrix(k) for k in range(self.parties)]
-        self.central_index = np.array([t.central_input for t in f.terms])
-        self.central_used = np.unique(self.central_index)
-        self.shared = np.bincount(self.central_index)[self.central_index] > 1
         # The state as (before, slot, after) around each slot, columns last.
         self.splits = [
             (math.prod(dims[:j]), d, math.prod(dims[j + 1 :]) * cols)
@@ -149,9 +142,7 @@ class _Workspace:
         ]
 
     def slot_ops(self, edge: list[np.ndarray], central: np.ndarray) -> list[np.ndarray]:
-        return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [
-            central[self.central_index]
-        ]
+        return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [central]
 
     def apply(self, ket: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
         """Stack over t of (ops[0][t] x ... x ops[-1][t]) ket, one batched
@@ -315,16 +306,13 @@ def _seesaw_single(
             edge[k] = held
             ops = held_ops
 
-    def central_step(w):
-        # Each term owns its central input in every built-in kind, so this
-        # update maximizes I_i (hence |I_i|) exactly and never decreases
-        # the objective. Shared inputs fall back to linearized steering.
-        nonlocal ops, corr, value
-        scale = np.where(ws.shared & (f.combiner != LINEAR), w, 1.0)
-        h = np.zeros_like(central)
-        np.add.at(h, ws.central_index, scale[:, None, None] * steering(ws.parties, ops))
-        central[ws.central_used] = _sign_eig(h[ws.central_used])
-        ops = ops[:-1] + [central[ws.central_index]]
+    def central_step():
+        # Each term owns its central input, so this update maximizes I_i
+        # (hence |I_i|) exactly and never decreases the objective.
+        # ``central`` is rebound, never written in place: ops[-1] is it.
+        nonlocal central, ops, corr, value
+        central = _sign_eig(steering(ws.parties, ops))
+        ops = ops[:-1] + [central]
         corr = correlators(ops)
         value = combine(f, corr)
 
@@ -337,7 +325,7 @@ def _seesaw_single(
             state_step(w)
         for k in range(ws.parties):
             edge_step(w, k)
-        central_step(w)
+        central_step()
 
         history.append(value)
         if value - before <= cfg.tol * max(1.0, abs(value)):
@@ -369,8 +357,7 @@ def seesaw_optimize(
                 f"fixed state must have {parties + 1} slots, got {len(dims)}"
             )
     else:
-        slot = cfg.central_slot_dim or cfg.edge_dim
-        dims = (cfg.edge_dim,) * parties + (slot**parties,)
+        dims = (cfg.edge_dim,) * parties + (cfg.edge_dim**parties,)
     total = int(np.prod(dims))
     if total > TOTAL_DIMENSION_GUARD:
         raise DimensionGuard(

@@ -186,11 +186,44 @@ def loop_sample(f, trials, support_size, seed):
     )
 
 
+def assert_batched_rows_exact(f, support, count, seed):
+    """Batched _mixture_terms rows equal one-model calls bit for bit."""
+    models = [
+        random_model(f, support, np.random.default_rng(c))
+        for c in np.random.SeedSequence(seed).spawn(count)
+    ]
+    batched = classical._mixture_terms(
+        f,
+        [np.stack([mo.weights[k] for mo in models]) for k in range(f.parties)],
+        [np.stack([mo.edge_responses[k] for mo in models]) for k in range(f.parties)],
+        np.stack([mo.central_responses for mo in models]),
+    )
+    one_by_one = np.concatenate([
+        classical._mixture_terms(
+            f,
+            [w[None] for w in mo.weights],
+            [r[None] for r in mo.edge_responses],
+            mo.central_responses[None],
+        )
+        for mo in models
+    ])
+    differ = np.any(batched != one_by_one, axis=1)
+    assert np.array_equal(batched, one_by_one), f"{differ.sum()} of {count} rows differ"
+
+
 class TestBatchedSampling:
     @pytest.mark.parametrize("support", [1, 2, 3])
     @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
     def test_matches_one_model_at_a_time(self, f, support):
         assert sample_nlocal_value(f, 150, support, seed=4) == loop_sample(f, 150, support, 4)
+
+    @pytest.mark.parametrize("support", [1, 2, 3])
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
+    def test_batched_rows_equal_one_model_rows(self, f, support):
+        assert_batched_rows_exact(f, support, 300, seed=5)
+
+    def test_batched_rows_equal_one_model_rows_bilocal_many(self):
+        assert_batched_rows_exact(BILOCAL, 3, 2000, seed=6)
 
     def test_every_trial_count(self, monkeypatch):
         # Chunks of 32 // (4 * 2) = 4 models: the counts 1..30 end on a last

@@ -341,6 +341,9 @@ BAD_SETTINGS = {
     "edge_observables_4x4": lambda s: {
         **s, "edge_observables": [[_widened(o) for o in s["edge_observables"][0]]]
     },
+    "central_observables_extra": lambda s: {
+        **s, "central_observables": s["central_observables"] + s["central_observables"][:1]
+    },
     "central_observables_8x8": lambda s: {
         **s, "central_observables": [_widened(o) for o in s["central_observables"]]
     },

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from netbell import functionals as fn
+from netbell import serialize
 from netbell.errors import (
     DimensionMismatch,
     InvalidScenario,
@@ -100,6 +102,21 @@ class TestBuildFunctional:
             build_functional(Kind.BILOCAL, 2, 3)
         with pytest.raises(InvalidScenario):
             build_functional(Kind.STAR, 3, 2)
+
+    def test_term_must_own_its_central_input(self):
+        # gm m=3 with every term on input 0 would let enumeration and the
+        # evaluators disagree (6.0 against 4.0 by brute force).
+        gm = build_functional(Kind.GM, 3, 1)
+        shared = tuple(dataclasses.replace(t, central_input=0) for t in gm.terms)
+        with pytest.raises(InvalidScenario, match="term 1"):
+            dataclasses.replace(gm, terms=shared)
+
+    def test_json_with_swapped_central_inputs(self):
+        data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
+        for term, x in zip(data["terms"], (1, 0)):
+            term["central_input"] = x
+        with pytest.raises(InvalidScenario, match="term 0"):
+            serialize.functional_from_json(data)
 
 
 class TestEvalCorrelator:

@@ -29,7 +29,14 @@ from netbell.optimize import (
     vector_model_value,
 )
 from netbell.qcore import expectation, tensor_all, vector_norm_applied
-from netbell.states import SIGMA_X, SIGMA_Z, Observable, QuantumState
+from netbell.states import (
+    SIGMA_X,
+    SIGMA_Z,
+    Observable,
+    QuantumState,
+    network_product_state,
+    random_two_qubit_density,
+)
 
 SQ2 = math.sqrt(2)
 
@@ -98,8 +105,19 @@ class TestSeesaw:
         assert res2.value == pytest.approx(v3, abs=1e-3)
 
     def test_history_monotone_and_bounded(self):
-        for kind, m, n in [(Kind.CHSH, 2, 1), (Kind.XI, 3, 2), (Kind.STAR, 2, 2)]:
-            f, res = run_seesaw(kind, m, n)
+        bilocal = build_functional(Kind.BILOCAL, 2, 2)
+        rho = network_product_state(
+            [random_two_qubit_density(seed, 2) for seed in (1, 2)]
+        )
+        fixed = seesaw_optimize(bilocal, SeesawConfig(restarts=2, seed=3), rho)
+        runs = [
+            run_seesaw(kind, m, n)
+            for kind, m, n in [
+                (Kind.CHSH, 2, 1), (Kind.XI, 3, 2), (Kind.STAR, 2, 2),
+                (Kind.GM, 3, 1), (Kind.DELTA, 3, 2),
+            ]
+        ] + [(bilocal, fixed)]
+        for f, res in runs:
             assert all(
                 b - a >= -1e-12 for a, b in zip(res.history, res.history[1:])
             )
@@ -285,7 +303,7 @@ class TestBatchedKernel:
         edge, central, psi = random_setting(f, dims, seed=3)
         held = edge[0].copy()
         ket = psi[:, None]
-        steer = _steering(ws, ket, ket, 0, [None, central[ws.central_index]])
+        steer = _steering(ws, ket, ket, 0, [None, central])
         new = _edge_update(ws, 0, edge[0], np.array([0.0, 1.0, 0.0]), steer)
         assert np.array_equal(edge[0], held)
         assert np.array_equal(new[0], held[0])
