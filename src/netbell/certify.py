@@ -178,8 +178,7 @@ def sos_certificate(
     if not gamma.imag.any():
         gamma = gamma.real
 
-    bound = combine(f, omegas)
-    value = combine(f, correlators)
+    bound, value = combine(f, [omegas, correlators]).tolist()
     return SOSReport(
         functional=f,
         value=value,
@@ -283,6 +282,8 @@ def correspondence_scan(
     """
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
+    if edge_restarts < 1:
+        raise OutOfRange("edge restarts must be at least 1")
     if family not in ("bilocal", "star", "xi"):
         raise ValueError(f"unknown family {family!r}")
     # Rejects the (m, n) that do not define the family's functional:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
-from .functionals import LINEAR, Functional, combine
+from .functionals import LINEAR, Functional, build_sign_table, combine
 
 SEARCH_SPACE_GUARD = 2**34
 MIXTURE_GUARD = 2**22
@@ -76,36 +76,7 @@ def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
     # A support-1 mixture of weight 1: every product is an integer, so exact.
     ones = [np.ones((1, 1))] * parties
     central = central.reshape((1,) * (parties + 1) + (-1,))
-    return combine(f, _mixture_terms(f, ones, edge[:, None, None], central)[0].tolist())
-
-
-def _roots(values: np.ndarray, n: int) -> np.ndarray:
-    """|v|^(1/n) with exact results on perfect n-th powers of integers."""
-    a = np.abs(values)
-    if n == 1:
-        return a
-    r = a ** (1.0 / n)
-    ri = np.rint(r)
-    exact = ri**n == a
-    return np.where(exact, ri, r)
-
-
-def _edge_sign_vectors(m: int) -> np.ndarray:
-    """All 2^m response vectors, index-ascending = lexicographic with -1 < +1."""
-    g = np.arange(2**m)
-    bits = (g[:, None] >> (m - 1 - np.arange(m))[None, :]) & 1
-    return (2 * bits - 1).astype(float)
-
-
-def _decode_digits(index: np.ndarray | int, radix: int, parties: int):
-    """Mixed-radix digits of a flat strategy index, first party first."""
-    digits = []
-    rest = index
-    for _ in range(parties):
-        rest, d = np.divmod(rest, radix)
-        digits.append(d)
-    digits.reverse()
-    return digits
+    return combine(f, _mixture_terms(f, ones, edge[:, None, None], central)[0])
 
 
 def enumerate_deterministic_max(
@@ -123,6 +94,10 @@ def enumerate_deterministic_max(
     response -1, so sweeping the 2^(m-1) such tables per party keeps both
     the maximum and the smallest witness, on a sweep 2^parties times
     smaller than all (2^m)^parties edge tables.
+
+    A row's value with the best central responses is ``combine`` of the
+    absolute per-term products of its edge factors; the witness's central
+    responses come from the winning row's products.
     """
     parties = f.parties
     m, n_terms = f.m, f.n_terms
@@ -130,35 +105,28 @@ def enumerate_deterministic_max(
     if space > SEARCH_SPACE_GUARD:
         raise SearchSpaceTooLarge(f"search space {space} exceeds {SEARCH_SPACE_GUARD}")
 
-    signs = _edge_sign_vectors(m)[: 2 ** (m - 1)]
+    # Negated sign-table rows: first response -1, lexicographic, -1 < +1.
+    signs = -np.array(build_sign_table(m).rows, dtype=float)
     per_party = [signs @ f.coefficient_matrix(k).T for k in range(parties)]
 
-    radix = len(signs)
-    total = radix**parties
+    shape = (len(signs),) * parties
+    total = len(signs) ** parties
     best_value = -np.inf
-    best_index = -1
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        digits = _decode_digits(idx, radix, parties)
-        prod = np.ones((idx.size, n_terms))
+        digits = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+        prod = np.ones((digits[0].size, n_terms))
         for k in range(parties):
             prod *= per_party[k][digits[k]]
-        if f.combiner == LINEAR:
-            vals = np.abs(prod).sum(axis=1)
-        else:
-            vals = _roots(prod, f.n).sum(axis=1)
+        vals = combine(f, np.abs(prod))
         arg = int(np.argmax(vals))
         if vals[arg] > best_value:
             best_value = float(vals[arg])
-            best_index = start + arg
+            best_index, best_prod = start + arg, prod[arg].copy()
 
-    digits = [int(d) for d in _decode_digits(best_index, radix, parties)]
+    digits = np.unravel_index(best_index, shape)
     edge = tuple(tuple(int(v) for v in signs[d]) for d in digits)
-    term_products = np.ones(n_terms)
-    for k in range(parties):
-        term_products *= per_party[k][digits[k]]
     if f.combiner == LINEAR:
-        central = tuple(1 if p > 0 else -1 for p in term_products)
+        central = tuple(1 if p > 0 else -1 for p in best_prod)
     else:
         central = tuple([-1] * f.n_central_inputs)
     witness = DeterministicStrategy(edge_responses=edge, central_responses=central)
@@ -213,7 +181,7 @@ def eval_model(f: Functional, model: HiddenVariableModel) -> float:
     per_term = _mixture_terms(
         f, [w[None] for w in weights], [r[None] for r in responses], central[None]
     )
-    return combine(f, per_term[0].tolist())
+    return combine(f, per_term[0])
 
 
 def random_model(
@@ -245,11 +213,12 @@ def sample_nlocal_value(
     per trial, exactly as ``random_model`` draws them, and evaluated by
     ``_mixture_terms`` in chunks whose central tables hold at most
     ``_CHUNK`` entries together, so memory does not grow with ``trials``.
-    Each trial's value goes through ``combine``, and the returned value is
-    ``eval_model`` of the first maximizer. Each batched row equals the
-    one-model ``_mixture_terms`` row bit for bit (a test checks this for
-    every kind), so the result is the maximum of ``eval_model`` over the
-    trials one by one.
+    One ``combine`` call per chunk gives every trial's value, and the
+    returned value is ``eval_model`` of the first maximizer. Each batched
+    row equals the one-model ``_mixture_terms`` row bit for bit, and
+    ``combine`` reduces each row of a batch as it reduces that row alone
+    (tests check both for every kind), so the result is the maximum of
+    ``eval_model`` over the trials one by one.
     Raises ``SearchSpaceTooLarge`` before any draw when one central table
     would exceed ``MIXTURE_GUARD`` entries or the model would have more
     than ``_MAX_MIXTURE_SOURCES`` sources.
@@ -278,7 +247,7 @@ def sample_nlocal_value(
             [np.stack([mo.edge_responses[k] for mo in models]) for k in range(parties)],
             np.stack([mo.central_responses for mo in models]),
         )
-        values = [combine(f, row) for row in terms.tolist()]
+        values = combine(f, terms)
         arg = int(np.argmax(values))
         if values[arg] > best_value:
             best_value, best_model = values[arg], models[arg]

@@ -5,7 +5,8 @@ Every run emits one RunRecord carrying the scenario, the seed, the value
 and both closed-form bounds. Exit codes are part of the contract:
 
 * 0 success
-* 2 usage error, invalid scenario, or malformed settings file
+* 2 usage error, invalid scenario, malformed settings file, or an output
+  file that cannot be written
 * 3 dimension / search-space guard
 * 4 formula and enumeration bounds disagree
 * 5 certificate failure (negative gap or certificate operator not PSD)
@@ -340,8 +341,6 @@ def cmd_correspondence(args) -> int:
         artifacts,
         started=started,
     )
-    _emit(record, "json" if args.format is None else args.format)
-
     if args.out:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -353,8 +352,12 @@ def cmd_correspondence(args) -> int:
                 + [repr(v) for v in r.edge_values]
                 + [repr(r.network_value), repr(r.bound), repr(r.bound - r.network_value)]
             )
-        _atomic_write(args.out, buf.getvalue())
-
+        try:
+            _atomic_write(args.out, buf.getvalue())
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+    _emit(record, "json" if args.format is None else args.format)
     return EXIT_OK if report.satisfied else EXIT_CORRESPONDENCE
 
 
@@ -367,7 +370,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--m", type=int, default=2, help="settings per edge party")
     p.add_argument("--n", type=int, default=None, help="number of sources")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--out", default="json", choices=["json", "csv", "pretty"],
                    help="output format")
 
@@ -375,6 +378,14 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def int_list(text: str) -> tuple[int, ...]:
     # argparse turns the ValueError of a bad entry into a usage error.
     return tuple(int(r) for r in text.split(","))
+
+
+def seed_int(text: str) -> int:
+    # numpy seeds are non-negative; argparse turns the ValueError into a
+    # usage error.
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="settings per edge party (default 3 for xi, 2 otherwise)")
     p_corr.add_argument("--n", type=int, default=None)
     p_corr.add_argument("--trials", type=int, default=100)
-    p_corr.add_argument("--seed", type=int, default=0)
+    p_corr.add_argument("--seed", type=seed_int, default=0)
     p_corr.add_argument("--edge-restarts", type=int, default=10)
     p_corr.add_argument("--ranks", default="1", type=int_list,
                         help="comma-separated admissible source ranks")

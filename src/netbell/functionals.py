@@ -184,11 +184,26 @@ def build_functional(kind: Kind | str, m: int, n: int = 1) -> Functional:
     return Functional(kind=kind, m=m, n=n, combiner=combiner, terms=terms)
 
 
-def combine(f: Functional, correlators: Sequence[float]) -> float:
-    """Apply the functional's combiner to term correlators."""
-    if f.combiner == LINEAR:
-        return float(sum(correlators))
-    return float(sum(abs(v) ** (1.0 / f.n) for v in correlators))
+def _roots(values: np.ndarray, n: int) -> np.ndarray:
+    """|v|^(1/n) with exact results on perfect n-th powers of integers."""
+    a = np.abs(values)
+    r = a ** (1.0 / n)
+    # In place, so that one array fewer is alive on large batches.
+    powers = np.rint(r)
+    powers **= n
+    return np.rint(r, out=r, where=powers == a)
+
+
+def combine(f: Functional, correlators: Sequence | np.ndarray) -> float | np.ndarray:
+    """The functional's value from its term values, along the last axis:
+    sum_i I_i for linear kinds, sum_i |I_i|^(1/n) via ``_roots`` for
+    root-sum kinds. One term set gives a float, a (..., T) stack an array.
+    Every functional value is combined here. The batch is made C-contiguous,
+    so each row reduces as that row alone and batched values equal
+    one-at-a-time ones bit for bit."""
+    c = np.ascontiguousarray(correlators, dtype=float)
+    total = np.add.reduce(c if f.combiner == LINEAR else _roots(c, f.n), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def eval_correlator(

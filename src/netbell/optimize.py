@@ -72,7 +72,9 @@ class SeesawConfig:
     def __post_init__(self) -> None:
         if self.edge_dim < 2:
             raise OutOfRange("edge_dim must be at least 2")
-        if self.tol <= 0:
+        if self.max_iters < 1:
+            raise OutOfRange("max_iters must be at least 1")
+        if not self.tol > 0:
             raise OutOfRange("tol must be positive")
         if self.restarts < 1:
             raise OutOfRange("restarts must be at least 1")
@@ -396,12 +398,11 @@ def vector_model_value(f: Functional, vectors: np.ndarray) -> float:
     """Closed-form value of a unit-vector configuration: each per-party
     norm is ||sum_x c_x v_x|| and the combiner is applied to their
     per-term products."""
-    parties = f.parties
-    omegas = np.empty((parties, f.n_terms))
-    for k in range(parties):
-        w = f.coefficient_matrix(k) @ vectors[k]
-        omegas[k] = np.linalg.norm(w, axis=1)
-    return float(np.sum(np.prod(omegas, axis=0) ** (1.0 / f.n)))
+    omegas = [
+        np.linalg.norm(f.coefficient_matrix(k) @ vectors[k], axis=1)
+        for k in range(f.parties)
+    ]
+    return combine(f, np.prod(omegas, axis=0))
 
 
 def _vector_gradient(f: Functional, vectors: np.ndarray) -> np.ndarray:

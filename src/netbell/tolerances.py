@@ -1,6 +1,7 @@
-"""Central numerical tolerance table.
-
-Every module reads its thresholds from here; no per-call tolerance knobs.
+"""Named tolerances of the input checks, expectations, eigensolves and
+certificate norms. A threshold that belongs to one computation stays next to
+it, such as ``optimize._WEIGHT_CLAMP`` or the certificate pass thresholds
+in ``cli.py``. No call takes a tolerance argument.
 """
 
 # Claimed-Hermitian matrices: max entry of |M - M^dag|.

@@ -6,7 +6,6 @@ import pytest
 from netbell import classical
 from netbell.classical import (
     DeterministicStrategy,
-    _roots,
     enumerate_deterministic_max,
     eval_model,
     eval_strategy,
@@ -18,6 +17,7 @@ from netbell.errors import NegativeEntry, SearchSpaceTooLarge, ShapeMismatch
 from netbell.functionals import (
     LINEAR,
     Kind,
+    _roots,
     build_functional,
     classical_bound,
     sign_family_classical_bound,

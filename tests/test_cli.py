@@ -372,6 +372,10 @@ class TestInvalidInputExit2:
              "support"),
             (("correspondence", "--family", "bilocal", "--trials", "0"), "trials"),
             (("correspondence", "--family", "bilocal", "--ranks", "x"), "ranks"),
+            (("correspondence", "--family", "bilocal", "--edge-restarts", "0"),
+             "restarts"),
+            (("optimize", "--expr", "chsh", "--iters", "-1"), "max_iters"),
+            (("optimize", "--expr", "chsh", "--tol", "nan"), "tol"),
         ],
     )
     def test_sampling_and_scan_sizes(self, capsys, argv, word):
@@ -379,6 +383,23 @@ class TestInvalidInputExit2:
         assert code == 2
         assert out == ""
         assert word in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--expr", "chsh"),
+            ("optimize", "--expr", "chsh", "--model", "vector"),
+            ("certify", "--expr", "chsh", "--at-optimum"),
+            ("bound", "--expr", "bilocal", "--method", "sample", "--trials", "10"),
+            ("correspondence", "--family", "bilocal", "--trials", "1"),
+        ],
+        ids=["seesaw", "vector", "certify", "sample", "correspondence"],
+    )
+    def test_negative_seed(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -412,6 +433,18 @@ class TestCorrespondenceCommand:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "trial,seed,edge_1,edge_2,network,bound,margin"
         assert len(lines) == 51
+
+    def test_unwritable_csv_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "correspondence", "--family", "bilocal", "--trials", "2",
+            "--out", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("cannot write")
+        assert not out_file.parent.exists()
 
     def test_xi_scan(self, capsys):
         code, out, _ = run_cli(

@@ -226,6 +226,49 @@ class TestEvalFunctional:
         assert fn.combine(f, bumped) > fn.combine(f, base)
 
 
+COMBINE_SCENARIOS = [
+    (Kind.CHSH, 2, 1),
+    (Kind.CHAINED, 5, 1),
+    (Kind.GM, 4, 1),
+    (Kind.GM, 5, 1),
+    (Kind.BILOCAL, 2, 2),
+    (Kind.STAR, 2, 3),
+    (Kind.DELTA, 4, 3),
+    (Kind.XI, 3, 5),
+]
+
+
+class TestCombine:
+    @pytest.mark.parametrize("batch", [1, 3, 1000])
+    @pytest.mark.parametrize(
+        "kind,m,n", COMBINE_SCENARIOS, ids=lambda v: getattr(v, "value", str(v))
+    )
+    def test_batch_equals_rows(self, kind, m, n, batch):
+        f = build_functional(kind, m, n)
+        rng = np.random.default_rng(batch * 31 + m * 7 + n)
+        # Random correlators plus exact n-th powers of integers, signed.
+        stack = rng.standard_normal((batch, f.n_terms)) * 4.0
+        powers = rng.integers(0, 6, size=stack.shape).astype(float) ** n
+        stack = np.where(rng.random(stack.shape) < 0.3, powers, stack)
+        stack *= rng.choice([-1.0, 1.0], size=stack.shape)
+        values = fn.combine(f, stack)
+        assert values.shape == (batch,)
+        rows = [fn.combine(f, row) for row in stack]
+        assert all(type(v) is float for v in rows)
+        assert values.tolist() == rows
+        # A Fortran-ordered batch would be reduced across rows, in another order.
+        assert fn.combine(f, np.asfortranarray(stack)).tolist() == rows
+        assert fn.combine(f, stack.tolist()[0]) == rows[0]
+
+    def test_exact_roots(self):
+        # numpy's vectorised power misses most integer cube roots on long
+        # arrays (27 ** (1/3) gives 3.0000000000000004 there).
+        f = build_functional(Kind.XI, 3, 3)
+        k = np.arange(201.0).reshape(67, 3)
+        assert np.array_equal(fn.combine(f, -(k**3)), k.sum(axis=1))
+        assert fn.combine(f, [8.0, -27.0, 0.0]) == 5.0
+
+
 class TestBounds:
     def test_classical_values(self):
         assert classical_bound(build_functional(Kind.CHAINED, 4)) == 6

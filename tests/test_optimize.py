@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg
 
 from netbell import tolerances as tol
-from netbell.errors import DimensionGuard, NonHermitianInput
+from netbell.errors import DimensionGuard, NonHermitianInput, OutOfRange
 from netbell.functionals import (
     Kind,
     ObservableAssignment,
@@ -155,12 +155,17 @@ class TestSeesaw:
             seesaw_optimize(f, SeesawConfig(edge_dim=6, restarts=1))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SeesawConfig(edge_dim=1)
-        with pytest.raises(ValueError):
-            SeesawConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SeesawConfig(restarts=0)
+        for bad in (
+            {"edge_dim": 1},
+            {"tol": 0.0},
+            {"tol": -1e-12},
+            {"tol": float("nan")},
+            {"restarts": 0},
+            {"max_iters": 0},
+            {"max_iters": -1},
+        ):
+            with pytest.raises(OutOfRange):
+                SeesawConfig(**bad)
 
     def test_deterministic_given_seed(self):
         _, a = run_seesaw(Kind.CHSH, 2, 1, seed=3)
