@@ -151,7 +151,7 @@ def sos_certificate(
     psi = state.data[:, None]
     t_psi = ws.apply(psi, sums + [None]).reshape(f.n_terms, -1)
     b_psi = ws.apply(psi, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
-    correlators = _correlators(ws, psi, psi, sums + [central])
+    correlators = _correlators(ws, psi, sums + [central])
     omegas = np.linalg.norm(t_psi, axis=1).tolist()
 
     eye = [np.eye(d) for d in dims]
@@ -235,7 +235,8 @@ def _fixed_state_max(
     and the central one acts on the whole 2^n-dimensional central slot,
     not only on products of per-source qubit observables. The value is
     the best of ``restarts`` local optima: a lower bound on the maximum
-    over that class, not the maximum itself."""
+    over that class, not the maximum itself. Its cost scales with the
+    rank r of the state, which the seesaw carries as a (D, r) factor."""
     cfg = SeesawConfig(restarts=restarts, seed=seed, tol=1e-13, max_iters=300)
     return seesaw_optimize(f, cfg, fixed_state=state).value
 
@@ -252,7 +253,8 @@ def correspondence_scan(
     """Seeded scan of the network-versus-edges bound.
 
     Per trial, random per-source two-qubit states are drawn (``ranks``
-    picks the admissible density ranks; the default draws pure states);
+    picks the admissible density ranks; the default rank-1 draws give the
+    fixed-state seesaw a one-column factor, ranks r_k give prod_k r_k);
     the per-edge bipartite maxima (closed form for two-setting edges,
     fixed-state seesaw for cyclic edges) and the network value (closed
     form for two sources and two settings, fixed-state seesaw otherwise)
@@ -303,24 +305,19 @@ def correspondence_scan(
         rng = np.random.default_rng(child)
         states = _draw_states(rng, n, ranks)
 
-        if family == "bilocal":
+        if family == "xi":
+            edge_f = build_functional(Kind.CHAINED, m, 1)
+            edge_values = tuple(
+                _fixed_state_max(edge_f, s, edge_restarts, int(rng.integers(2**63)))
+                for s in states
+            )
+        else:
             edge_values = tuple(horodecki_chsh_max(s) for s in states)
+        if family == "bilocal":
             network = bilocal_max_pair(states[0], states[1])
         else:
-            if family == "star":
-                edge_values = tuple(horodecki_chsh_max(s) for s in states)
-            else:
-                edge_f = build_functional(Kind.CHAINED, m, 1)
-                edge_values = tuple(
-                    _fixed_state_max(
-                        edge_f, s, edge_restarts, int(rng.integers(2**63))
-                    )
-                    for s in states
-                )
             network = _fixed_state_max(
-                net_f,
-                network_product_state(states),
-                edge_restarts,
+                net_f, network_product_state(states), edge_restarts,
                 int(rng.integers(2**63)),
             )
 

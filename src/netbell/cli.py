@@ -56,6 +56,9 @@ EXIT_BOUND_MISMATCH = 4
 EXIT_CERTIFICATE = 5
 EXIT_CORRESPONDENCE = 6
 
+# optimize's seesaw-only options, None when not given; certify keeps its own.
+SEESAW_DEFAULTS = {"dim": 2, "restarts": 5, "iters": 600, "tol": 1e-14}
+
 SIGN_FAMILY_NOTE = (
     "classical bound uses m*C(m-1,floor((m-1)/2)), confirmed by exhaustive "
     "enumeration for m <= 5 (6 at m=3); the superficially similar closed form "
@@ -176,18 +179,17 @@ def _record(command, f, seed, value, artifacts=None, note=None, started=0.0):
 
 
 def _seesaw_config(args) -> SeesawConfig:
-    return SeesawConfig(
-        edge_dim=args.dim,
-        max_iters=args.iters,
-        tol=args.tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    return SeesawConfig(edge_dim=args.dim, max_iters=args.iters, tol=args.tol,
+                        restarts=args.restarts, seed=args.seed)
 
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     f = _build_functional_from_args(args)
+    unused = list(SEESAW_DEFAULTS) if args.model == "vector" else ["ambient"]
+    given = [f"--{k}" for k in unused if getattr(args, k) is not None]
+    if given:
+        raise InvalidScenario(f"{', '.join(given)} not used by --model {args.model}")
     if args.model == "vector":
         ambient = f.m if args.ambient is None else args.ambient
         value, model = vector_model_optimize(f, ambient=ambient, seed=args.seed)
@@ -197,6 +199,9 @@ def cmd_optimize(args) -> int:
             "vectors": np.asarray(model.vectors).tolist(),
         }
     else:
+        for k, default in SEESAW_DEFAULTS.items():
+            if getattr(args, k) is None:
+                setattr(args, k, default)
         result = seesaw_optimize(f, _seesaw_config(args))
         artifacts = {
             "model": "seesaw",
@@ -398,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="maximize a functional")
     _add_scenario_args(p_opt)
-    p_opt.add_argument("--dim", type=int, default=2, help="edge-party dimension")
-    p_opt.add_argument("--restarts", type=int, default=5)
-    p_opt.add_argument("--iters", type=int, default=600)
-    p_opt.add_argument("--tol", type=float, default=1e-14)
-    p_opt.add_argument("--model", choices=["seesaw", "vector"], default="seesaw")
+    p_opt.add_argument("--dim", type=int, default=None, help="edge-party dimension")
+    p_opt.add_argument("--restarts", type=int, default=None)
+    p_opt.add_argument("--iters", type=int, default=None)
+    p_opt.add_argument("--tol", type=float, default=None)
+    p_opt.add_argument("--model", choices=["seesaw", "vector"], default="seesaw",
+                       help="seesaw: --dim --restarts --iters --tol; vector: --ambient")
     p_opt.add_argument("--ambient", type=int, default=None,
                        help="vector-model ambient dimension (default m)")
     p_opt.set_defaults(func=cmd_optimize)

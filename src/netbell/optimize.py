@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import tolerances as tol
 from .errors import DimensionGuard, DimensionMismatch, NonHermitianInput, OutOfRange
@@ -122,26 +121,23 @@ class _Workspace:
     """Shared geometry for one seesaw run: slot dims, coefficient tables
     and the batched slot contractions.
 
-    The state travels as a (ket, bra) pair of (D, cols) arrays whose
-    correlators are c_t = sum conj(bra) * (O_t ket): a pure state is
-    ket = bra = psi with one column, a density state is ket = rho and
-    bra = I with D columns, so that c_t = Tr(O_t rho).
+    The state travels as one (D, r) factor K with K K^dag = rho, whose
+    correlators are c_t = sum conj(K) * (O_t K) = Tr(O_t rho): a pure
+    state is K = psi with r = 1, a density is r = rank(rho) columns. Every
+    contraction carries all r columns, so the cost grows with the rank.
 
     Operators travel as one (T, d, d) stack per slot: ``ops[j][t]`` is term
     t's operator on slot j (its signed observable sum on an edge slot, its
     central observable on the last slot), and ``None`` leaves a slot alone.
     """
 
-    def __init__(self, f: Functional, dims: tuple[int, ...], cols: int = 1):
+    def __init__(self, f: Functional, dims: tuple[int, ...]):
         self.f = f
         self.dims = dims
         self.parties = len(dims) - 1
         self.coeffs = [f.coefficient_matrix(k) for k in range(self.parties)]
-        # The state as (before, slot, after) around each slot, columns last.
-        self.splits = [
-            (math.prod(dims[:j]), d, math.prod(dims[j + 1 :]) * cols)
-            for j, d in enumerate(dims)
-        ]
+        # (before, slot, rest) around each slot; rest also holds the r columns.
+        self.splits = [(math.prod(dims[:j]), d) for j, d in enumerate(dims)]
 
     def slot_ops(self, edge: list[np.ndarray], central: np.ndarray) -> list[np.ndarray]:
         return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [central]
@@ -150,25 +146,33 @@ class _Workspace:
         """Stack over t of (ops[0][t] x ... x ops[-1][t]) ket, one batched
         matmul per slot; the result's leading axis is t."""
         out = ket[None]
-        for (pre, d, post), op in zip(self.splits, ops):
+        for (pre, d), op in zip(self.splits, ops):
             if op is not None:
-                out = op[:, None] @ out.reshape(-1, pre, d, post)
+                out = op[:, None] @ out.reshape(len(out), pre, d, -1)
         return out
 
 
-def _correlators(ws: _Workspace, ket: np.ndarray, bra: np.ndarray, ops) -> list[float]:
+def _correlators(ws: _Workspace, ket: np.ndarray, ops) -> list[float]:
     phi = ws.apply(ket, ops)
-    return (phi.reshape(ws.f.n_terms, -1) @ bra.conj().reshape(-1)).real.tolist()
+    return (phi.reshape(ws.f.n_terms, -1) @ ket.conj().reshape(-1)).real.tolist()
 
 
-def _steering(
-    ws: _Workspace, ket: np.ndarray, bra: np.ndarray, slot: int, ops
-) -> np.ndarray:
+def _steering(ws: _Workspace, ket: np.ndarray, slot: int, ops) -> np.ndarray:
     """(T, d, d) steering stack H with Tr(A H[t]) the correlator of
-    A (x) ops[t], A acting on ``slot`` (where ``ops`` holds None)."""
-    split = ws.splits[slot]
-    phi = ws.apply(ket, ops).reshape((-1,) + split)
-    return np.einsum("tpaq,pzq->taz", phi, bra.reshape(split).conj())
+    A (x) ops[t], A acting on ``slot`` in place of ``ops[slot]``."""
+    pre, d = ws.splits[slot]
+    phi = ws.apply(ket, ops[:slot] + [None] + ops[slot + 1 :])
+    phi = phi.reshape(len(phi), pre, d, -1)
+    return np.einsum("tpaq,pzq->taz", phi, ket.reshape(pre, d, -1).conj())
+
+
+def _state_factor(state: QuantumState) -> np.ndarray:
+    """(D, r) factor K with K K^dag = rho, r the rank at matrix_rank's cut."""
+    if state.kind == "pure":
+        return state.data[:, None]
+    lam, vecs = np.linalg.eigh(state.data)
+    keep = lam > lam.max() * len(lam) * np.finfo(float).eps
+    return vecs[:, keep] * np.sqrt(lam[keep])
 
 
 def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
@@ -192,6 +196,7 @@ def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndar
             kron = np.einsum("tab,tcd->tacbd", kron, op).reshape(t, a * c, b * d)
         vec = np.linalg.eigh(np.tensordot(w, kron, axes=1))[1][:, -1]
     else:
+        import scipy.sparse.linalg  # only this branch needs scipy
 
         def matvec(v):
             return np.tensordot(w, ws.apply(v, ops), axes=1).reshape(-1)
@@ -242,7 +247,7 @@ def _seesaw_single(
     ws: _Workspace,
     rng: np.random.Generator,
     cfg: SeesawConfig,
-    fixed: QuantumState | None,
+    factor: np.ndarray | None,
 ):
     dims = ws.dims
     edge = [
@@ -253,24 +258,14 @@ def _seesaw_single(
         [_random_involution(dims[-1], rng) for _ in range(f.n_central_inputs)]
     )
 
-    if fixed is None:
-        psi = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(
-            int(np.prod(dims))
-        )
-        ket = bra = (psi / np.linalg.norm(psi))[:, None]
-    elif fixed.kind == "pure":
-        ket = bra = np.array(fixed.data)[:, None]
-    else:
-        ket, bra = np.array(fixed.data), np.eye(len(fixed.data))
-
-    def correlators(ops):
-        return _correlators(ws, ket, bra, ops)
-
-    def steering(slot, ops):
-        return _steering(ws, ket, bra, slot, ops[:slot] + [None] + ops[slot + 1 :])
+    ket = factor
+    if factor is None:
+        total = int(np.prod(dims))
+        psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        ket = (psi / np.linalg.norm(psi))[:, None]
 
     ops = ws.slot_ops(edge, central)
-    corr = correlators(ops)
+    corr = _correlators(ws, ket, ops)
     value = combine(f, corr)
     history = [value]
     converged = False
@@ -279,7 +274,7 @@ def _seesaw_single(
         # Top eigenvector of the linearized Bell operator, damped by a
         # line search on the true objective: root-sum combiners are
         # concave in the correlators, so the full jump can overshoot.
-        nonlocal ket, bra, corr, value
+        nonlocal ket, corr, value
         held = ket[:, 0]
         target = _top_eigvec(ws, ops, w, held)
         for eta in (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02):
@@ -287,20 +282,20 @@ def _seesaw_single(
             norm = np.linalg.norm(cand)
             if norm < 1e-12:
                 continue
-            ket = bra = (cand / norm)[:, None]
-            corr_new = correlators(ops)
+            ket = (cand / norm)[:, None]
+            corr_new = _correlators(ws, ket, ops)
             value_new = combine(f, corr_new)
             if value_new > value:
                 corr, value = corr_new, value_new
                 return
-        ket = bra = held[:, None]
+        ket = held[:, None]
 
     def edge_step(w, k):
         nonlocal ops, corr, value
         held, held_ops = edge[k], ops
-        edge[k] = _edge_update(ws, k, edge[k], w, steering(k, ops))
+        edge[k] = _edge_update(ws, k, edge[k], w, _steering(ws, ket, k, ops))
         ops = ops[:k] + [f.signed_sums(k, edge[k])] + ops[k + 1 :]
-        corr_new = correlators(ops)
+        corr_new = _correlators(ws, ket, ops)
         value_new = combine(f, corr_new)
         if value_new >= value:
             corr, value = corr_new, value_new
@@ -313,9 +308,9 @@ def _seesaw_single(
         # (hence |I_i|) exactly and never decreases the objective.
         # ``central`` is rebound, never written in place: ops[-1] is it.
         nonlocal central, ops, corr, value
-        central = _sign_eig(steering(ws.parties, ops))
+        central = _sign_eig(_steering(ws, ket, ws.parties, ops))
         ops = ops[:-1] + [central]
-        corr = correlators(ops)
+        corr = _correlators(ws, ket, ops)
         value = combine(f, corr)
 
     for _ in range(cfg.max_iters):
@@ -323,7 +318,7 @@ def _seesaw_single(
         w = _weights(f, corr)
         if not np.any(w):
             w = np.where(np.asarray(corr) < 0, -1.0, 1.0)
-        if fixed is None:
+        if factor is None:
             state_step(w)
         for k in range(ws.parties):
             edge_step(w, k)
@@ -344,11 +339,13 @@ def seesaw_optimize(
 ) -> OptimizationResult:
     """Best-of-restarts alternating optimization of a functional.
 
-    With ``fixed_state`` the state is held fixed (pure or density) and only
-    the observables are optimized; otherwise the state is updated each
-    sweep to the top eigenvector of the linearized Bell operator. The
-    returned history is monotonically nondecreasing; a restart that fails
-    to make progress is reported with ``converged=False``.
+    With ``fixed_state`` (pure or density) only the observables are
+    optimized, on a (D, r) factor of the state taken once per call: r is
+    its rank (1 when pure), and every step's cost scales with r. Otherwise
+    the state is updated each sweep to the top eigenvector of the
+    linearized Bell operator. The returned history is monotonically
+    nondecreasing; a restart that fails to make progress is reported with
+    ``converged=False``.
     """
     cfg = cfg or SeesawConfig()
     parties = f.parties
@@ -366,19 +363,18 @@ def seesaw_optimize(
             f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 
-    density = fixed_state is not None and fixed_state.kind != "pure"
-    ws = _Workspace(f, dims, total if density else 1)
+    factor = None if fixed_state is None else _state_factor(fixed_state)
+    ws = _Workspace(f, dims)
     best = None
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
-        run = _seesaw_single(f, ws, rng, cfg, fixed_state)
+        run = _seesaw_single(f, ws, rng, cfg, factor)
         if best is None or run[0] > best[0]:
             best = run
 
     value, ket, edge, central, history, converged = best
-    if fixed_state is not None:
-        state = fixed_state
-    else:
+    state = fixed_state
+    if state is None:
         state = QuantumState.pure(ket[:, 0], dims)
     observables = ObservableAssignment(
         edge=tuple(tuple(Observable(a) for a in row) for row in edge),

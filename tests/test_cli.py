@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import netbell
 from netbell import serialize
 from netbell.classical import DeterministicStrategy
 from netbell.cli import main
@@ -402,6 +407,27 @@ class TestInvalidInputExit2:
         assert "--seed" in err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize(
+        "model,option",
+        [
+            ("vector", ("--restarts", "1")),
+            ("vector", ("--iters", "1")),
+            ("vector", ("--tol", "0.5")),
+            ("vector", ("--dim", "7")),
+            ("seesaw", ("--ambient", "2")),
+        ],
+        ids=["restarts", "iters", "tol", "dim", "ambient"],
+    )
+    def test_option_of_other_model(self, capsys, model, option):
+        # An option the chosen model does not use is refused, never ignored.
+        code, out, err = run_cli(
+            capsys, "optimize", "--expr", "chsh", "--model", model, *option
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("invalid scenario:") and option[0] in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("optimize", "--expr", "chsh", "--n", "3"),
@@ -507,6 +533,13 @@ class TestRecordContract:
 
 
 class TestUsage:
+    def test_import_leaves_sparse_solver_unloaded(self):
+        # Every CLI run pays for what importing netbell.cli loads; only the
+        # seesaw's Lanczos branch needs scipy.sparse.linalg.
+        code = "import sys, netbell.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(netbell.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_no_command_exit_2(self, capsys):
         assert run_cli(capsys, )[0] == 2
 

@@ -19,6 +19,7 @@ from netbell.optimize import (
     _correlators,
     _edge_update,
     _random_involution,
+    _state_factor,
     _steering,
     _top_eigvec,
     _Workspace,
@@ -128,6 +129,21 @@ class TestSeesaw:
         value, _ = eval_functional(f, res.state, res.observables)
         assert value == pytest.approx(res.value, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind,m,n,ranks", [(Kind.STAR, 2, 3, (1, 1, 1)), (Kind.XI, 3, 2, (2, 3))]
+    )
+    def test_fixed_density_reproduces_value(self, kind, m, n, ranks):
+        # The seesaw contracts the density's (D, r) factor; eval_functional
+        # takes Tr(O rho) on the density itself.
+        f = build_functional(kind, m, n)
+        rho = network_product_state(
+            [random_two_qubit_density(5 + k, r) for k, r in enumerate(ranks)]
+        )
+        res = seesaw_optimize(f, SeesawConfig(restarts=2, seed=1), fixed_state=rho)
+        assert res.state is rho
+        value, _ = eval_functional(f, rho, res.observables)
+        assert value == pytest.approx(res.value, abs=1e-10)
+
     def test_chsh_fixed_point_anticommutation(self):
         _, res = run_seesaw(Kind.CHSH, 2, 1)
         x1 = res.observables.edge[0][0].matrix
@@ -200,16 +216,23 @@ def random_setting(f, dims, seed):
     return edge, central, psi / np.linalg.norm(psi)
 
 
+def as_assignment(edge, central) -> ObservableAssignment:
+    return ObservableAssignment(
+        edge=tuple(tuple(Observable(a) for a in row) for row in edge),
+        central=tuple(Observable(b) for b in central),
+    )
+
+
 def assert_kernel_matches(states, ops, expected):
-    """Check each (workspace, ket, bra) state pair against the expected
+    """Check each (workspace, factor) state against the expected
     correlators."""
-    for ws, ket, bra in states:
-        correlators = _correlators(ws, ket, bra, ops)
+    for ws, ket in states:
+        correlators = _correlators(ws, ket, ops)
         assert np.allclose(correlators, expected, rtol=0, atol=1e-12)
         # Tr(ops[j][t] H_j[t]) recovers every correlator from each slot.
         for j in range(len(ws.dims)):
             rest = ops[:j] + [None] + ops[j + 1 :]
-            steer = _steering(ws, ket, bra, j, rest)
+            steer = _steering(ws, ket, j, rest)
             got = np.einsum("tab,tba->t", ops[j], steer).real
             assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -236,15 +259,13 @@ class TestBatchedKernel:
         dims = (2,) * f.parties + (2**f.parties,)
         edge, central, psi = random_setting(f, dims, seed=len(f.terms) + n)
         ops = _Workspace(f, dims).slot_ops(edge, central)
-        assignment = ObservableAssignment(
-            edge=tuple(tuple(Observable(a) for a in row) for row in edge),
-            central=tuple(Observable(b) for b in central),
-        )
+        assignment = as_assignment(edge, central)
         _, expected = eval_functional(f, QuantumState.pure(psi, dims), assignment)
-        rho = np.outer(psi, psi.conj())
+        factor = _state_factor(QuantumState.density(np.outer(psi, psi.conj()), dims))
+        assert factor.shape == (len(psi), 1)
         states = [
-            (_Workspace(f, dims), psi[:, None], psi[:, None]),
-            (_Workspace(f, dims, len(rho)), rho, np.eye(len(rho))),
+            (_Workspace(f, dims), psi[:, None]),
+            (_Workspace(f, dims), factor),
         ]
         assert_kernel_matches(states, ops, expected.values)
 
@@ -259,12 +280,34 @@ class TestBatchedKernel:
         rho = g @ g.conj().T
         rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
         assert np.linalg.matrix_rank(rho) == total
-        assignment = ObservableAssignment(
-            edge=tuple(tuple(Observable(a) for a in row) for row in edge),
-            central=tuple(Observable(b) for b in central),
+        state = QuantumState.density(rho, dims)
+        _, expected = eval_functional(f, state, as_assignment(edge, central))
+        factor = _state_factor(state)
+        assert factor.shape == (total, total)
+        states = [(_Workspace(f, dims), factor)]
+        assert_kernel_matches(states, ops, expected.values)
+
+    @pytest.mark.parametrize(
+        "kind,m,n,ranks",
+        [
+            (Kind.BILOCAL, 2, 2, (1, 2)),
+            (Kind.XI, 3, 2, (1, 2)),
+            (Kind.STAR, 2, 3, (1, 1, 1)),
+        ],
+    )
+    def test_rank_deficient_factor_matches_eval_functional(self, kind, m, n, ranks):
+        f = build_functional(kind, m, n)
+        state = network_product_state(
+            [random_two_qubit_density(10 * k + r, r) for k, r in enumerate(ranks)]
         )
-        _, expected = eval_functional(f, QuantumState.density(rho, dims), assignment)
-        states = [(_Workspace(f, dims, total), rho, np.eye(total))]
+        dims = state.subsystem_dims
+        factor = _state_factor(state)
+        assert factor.shape == (len(state.data), math.prod(ranks))
+        assert np.max(np.abs(factor @ factor.conj().T - state.data)) <= 1e-12
+        edge, central, _ = random_setting(f, dims, seed=sum(ranks) + n)
+        ops = _Workspace(f, dims).slot_ops(edge, central)
+        _, expected = eval_functional(f, state, as_assignment(edge, central))
+        states = [(_Workspace(f, dims), factor)]
         assert_kernel_matches(states, ops, expected.values)
 
     @pytest.mark.parametrize(
@@ -308,7 +351,7 @@ class TestBatchedKernel:
         edge, central, psi = random_setting(f, dims, seed=3)
         held = edge[0].copy()
         ket = psi[:, None]
-        steer = _steering(ws, ket, ket, 0, [None, central])
+        steer = _steering(ws, ket, 0, [None, central])
         new = _edge_update(ws, 0, edge[0], np.array([0.0, 1.0, 0.0]), steer)
         assert np.array_equal(edge[0], held)
         assert np.array_equal(new[0], held[0])
