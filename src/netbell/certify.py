@@ -44,7 +44,6 @@ from .functionals import (
 from .optimize import (
     TOTAL_DIMENSION_GUARD,
     SeesawConfig,
-    _correlators,
     _Workspace,
     seesaw_optimize,
 )
@@ -94,9 +93,12 @@ def bilocal_max_pair(rho_ab: QuantumState, rho_bc: QuantumState) -> float:
     """Two-source network maximum 2 sqrt(a1 h1 + a2 h2) from the descending
     singular values of the two correlation matrices.
 
-    Like horodecki_chsh_max, the maximum is over traceless qubit observables
-    a.sigma for the edge parties and products of them for the central
-    party."""
+    The maximum is over class O: traceless a.sigma for the edge parties,
+    and a central party that measures each source qubit along two
+    orthogonal directions, as a Bell-state measurement does (Gisin et al.,
+    PRA 96, 020304). Traceless products without that orthogonality reach
+    sqrt(E_AB E_BC), the geometric mean of the two CHSH maxima, which is
+    above this value in general."""
     alpha = _descending_singular_values(correlation_matrix(rho_ab))
     eta = _descending_singular_values(correlation_matrix(rho_bc))
     return float(2.0 * math.sqrt(alpha[0] * eta[0] + alpha[1] * eta[1]))
@@ -129,10 +131,10 @@ def sos_certificate(
     """Assemble the certificate operator for an assignment and report the
     omega norms, residuals, gap, and its minimum eigenvalue.
 
-    The state side runs on the seesaw's batched slot kernel: one stack of
-    T_i psi, one of B_i psi, and the correlators <psi|B_i T_i|psi>. On the
-    operator side T_i = (x)_k S_ik (x) I and B_i = I (x) C_i are Hermitian
-    and act on different slots, so
+    T_i = (x)_k S_ik (x) I and B_i = I (x) C_i are Hermitian and act on
+    different slots. The state side runs on the seesaw's batched slot
+    kernel: one stack of T_i psi and one of B_i psi, whose overlaps
+    <B_i psi|T_i psi> are the correlators. On the operator side
     M_i^dag M_i = (x)_k S_ik^2 (x) I / omega_i^2
     - (2 s_i / omega_i) (x)_k S_ik (x) C_i + I (x) C_i^2,
     and gamma is assembled from these three Kronecker pieces per term with
@@ -151,7 +153,7 @@ def sos_certificate(
     psi = state.data[:, None]
     t_psi = ws.apply(psi, sums + [None]).reshape(f.n_terms, -1)
     b_psi = ws.apply(psi, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
-    correlators = _correlators(ws, psi, sums + [central])
+    correlators = np.einsum("ti,ti->t", b_psi.conj(), t_psi).real.tolist()
     omegas = np.linalg.norm(t_psi, axis=1).tolist()
 
     eye = [np.eye(d) for d in dims]
@@ -262,12 +264,13 @@ def correspondence_scan(
     network <= prod_k (edge_k)^(1/n).
 
     The two routes maximize over different observable classes. The closed
-    forms (horodecki_chsh_max, bilocal_max_pair) range over traceless
-    qubit observables a.sigma. The fixed-state seesaw (star and xi network
-    values, xi edge values) ranges over all Hermitian involutions, with
-    the central observable on the whole 2^n central slot, and its value
-    is a restart-limited lower bound (``edge_restarts`` restarts). A star
-    trial therefore compares an all-involution network value with
+    forms range over traceless qubit observables a.sigma, and
+    bilocal_max_pair's central party over class O (two orthogonal
+    directions per source qubit). The fixed-state seesaw (star and xi
+    network values, xi edge values) ranges over all Hermitian involutions,
+    with the central observable on the whole 2^n central slot, and its
+    value is a restart-limited lower bound (``edge_restarts`` restarts). A
+    star trial therefore compares an all-involution network value with
     traceless-only edge values.
 
     ``m`` and ``n`` must define the family's functional (bilocal is

@@ -11,13 +11,11 @@ Two routes to the optimal quantum value of a functional:
 
 * ``vector_model_optimize`` maximizes the dimension-free closed form in
   which each per-party norm is the Euclidean norm of a signed sum of unit
-  vectors. Any unit-vector configuration is realizable by observables
-  built on an anticommuting operator basis, so at ambient dimension m the
-  model attains the quantum bound exactly.
+  vectors. ``realize`` attains any unit-vector configuration's value with
+  observables on an anticommuting basis and maximally entangled sources,
+  so at ambient dimension m the model attains the quantum bound exactly.
 
-``optimal_assignment`` builds the closed-form optimizer (anticommuting or
-planar observables, transposed partner observables, maximally entangled
-sources) that saturates the quantum bound.
+``optimal_assignment`` is ``realize`` of the closed-form optimal vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionGuard, DimensionMismatch, NonHermitianInput, OutOfRange
+from .errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
 from .functionals import (
     LINEAR,
     Functional,
@@ -37,10 +35,8 @@ from .functionals import (
     ObservableAssignment,
     combine,
 )
-from .qcore import as_matrix, is_hermitian, tensor_all
+from .qcore import tensor_all
 from .states import (
-    SIGMA_X,
-    SIGMA_Z,
     Observable,
     QuantumState,
     anticommuting_set,
@@ -73,8 +69,8 @@ class SeesawConfig:
             raise OutOfRange("edge_dim must be at least 2")
         if self.max_iters < 1:
             raise OutOfRange("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise OutOfRange("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise OutOfRange("tol must be positive and finite")
         if self.restarts < 1:
             raise OutOfRange("restarts must be at least 1")
 
@@ -94,18 +90,6 @@ class VectorModel:
     """Per edge party, m real unit vectors in a shared ambient space."""
 
     vectors: np.ndarray  # (parties, m, ambient)
-
-
-def best_response_observable(steering: np.ndarray) -> Observable:
-    """Observable maximizing Tr(A H) over Hermitian involutions A.
-
-    The maximizer is the eigenvalue-wise sign of H, with zero eigenvalues
-    mapped to +1.
-    """
-    arr = as_matrix(steering)
-    if not is_hermitian(arr, tol.HERMITIAN_INPUT):
-        raise NonHermitianInput("steering matrix is not Hermitian")
-    return Observable(_sign_eig(arr))
 
 
 def _sign_eig(h: np.ndarray) -> np.ndarray:
@@ -458,9 +442,12 @@ def vector_model_optimize(
     max_iters: int = 3000,
 ) -> tuple[float, VectorModel]:
     """Maximize the vector-model closed form over unit vectors in the given
-    ambient dimension by projected gradient ascent with restarts."""
+    ambient dimension by projected gradient ascent with restarts; above
+    TOTAL_DIMENSION_GUARD it raises DimensionGuard before drawing."""
     if ambient < 1:
         raise OutOfRange("ambient dimension must be at least 1")
+    if ambient > TOTAL_DIMENSION_GUARD:
+        raise DimensionGuard(f"ambient {ambient} exceeds guard {TOTAL_DIMENSION_GUARD}")
     parties = f.parties
     best_value, best_v = -np.inf, None
     for child in np.random.SeedSequence(seed).spawn(restarts):
@@ -472,37 +459,39 @@ def vector_model_optimize(
     return best_value, VectorModel(vectors=best_v)
 
 
-def _planar_edge_observables(m: int) -> list[Observable]:
-    """m qubit observables fanned at angle pi/m steps in the x-z plane."""
-    out = []
-    for i in range(m):
-        phi = i * math.pi / m
-        out.append(Observable(math.cos(phi) * SIGMA_Z + math.sin(phi) * SIGMA_X))
-    return out
+def realize(f: Functional, vectors: np.ndarray) -> tuple[QuantumState, ObservableAssignment]:
+    """State and assignment whose functional value is the vector-model value
+    of ``vectors``, a (parties, m, ambient) unit-vector configuration.
+
+    Edge party k measures A_kx = v_kx . Gamma, Gamma = anticommuting_set(ambient),
+    on maximally entangled sources of dimension 2^floor(ambient/2). Term
+    i's central observable is (x)_k (S_ik / ||s_ik||)^T, with S_ik party
+    k's signed observable sum and s_ik its signed vector sum; ZeroNorm is
+    raised when some s_ik vanishes.
+    """
+    gamma = np.array([g.matrix for g in anticommuting_set(vectors.shape[2])])
+    edge = np.tensordot(vectors, gamma, axes=1)
+    units = []
+    for k, a in enumerate(edge):
+        norms = np.linalg.norm(f.coefficient_matrix(k) @ vectors[k], axis=1)
+        if np.any(norms <= tol.ZERO_NORM):
+            raise ZeroNorm(f"a signed vector sum of edge party {k} vanishes")
+        units.append(np.swapaxes(f.signed_sums(k, a), 1, 2) / norms[:, None, None])
+    state = network_product_state([maximally_entangled(len(gamma[0]))] * len(edge))
+    central = tuple(Observable(tensor_all(ops)) for ops in zip(*units))
+    return state, ObservableAssignment(
+        edge=tuple(tuple(Observable(a) for a in row) for row in edge),
+        central=central,
+    )
 
 
 def optimal_assignment(f: Functional) -> tuple[QuantumState, ObservableAssignment]:
-    """Closed-form optimal realization saturating ``quantum_bound(f)``.
-
-    Sign-table kinds use a mutually anticommuting observable set per edge
-    party (dimension 2^floor(m/2)); cyclic kinds use planar qubit
-    observables. Every source is maximally entangled and each central
-    observable is the tensor product over sources of the transposed,
-    normalized signed sums.
-    """
-    parties = f.parties
+    """Closed-form optimal realization saturating ``quantum_bound(f)``:
+    ``realize`` of orthonormal vectors (np.eye(m)) for sign-table kinds
+    and of the planar fan (sin(i pi/m), cos(i pi/m)) for cyclic kinds."""
     if f.kind in (Kind.CHAINED, Kind.XI):
-        edge_obs = _planar_edge_observables(f.m)
-        norm = 2.0 * math.cos(math.pi / (2 * f.m))
+        angles = [i * math.pi / f.m for i in range(f.m)]
+        v = np.array([[math.sin(a), math.cos(a)] for a in angles])
     else:
-        edge_obs = anticommuting_set(f.m)
-        norm = math.sqrt(f.m)
-    dim = edge_obs[0].dim
-
-    sums = f.signed_sums(0, [o.matrix for o in edge_obs])
-    state = network_product_state([maximally_entangled(dim)] * parties)
-    central = tuple(
-        Observable(tensor_all([s.T / norm] * parties)) for s in sums
-    )
-    edge = tuple(tuple(edge_obs) for _ in range(parties))
-    return state, ObservableAssignment(edge=edge, central=central)
+        v = np.eye(f.m)
+    return realize(f, np.array([v] * f.parties))

@@ -7,14 +7,13 @@ dense and double precision throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DensityInput, DimensionMismatch, NonHermitianInput
+from .errors import DimensionMismatch, NonHermitianInput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .states import QuantumState
@@ -28,10 +27,10 @@ def as_matrix(m: np.ndarray | Iterable) -> np.ndarray:
     return arr
 
 
-def is_hermitian(m: np.ndarray, atol: float = tol.HERMITIAN_CLAIM) -> bool:
-    """True when max |M - M^dag| entry is at most ``atol``."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when max |M - M^dag| entry is at most ``HERMITIAN_CLAIM``."""
     arr = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= atol)
+    return bool(np.max(np.abs(arr - arr.conj().T)) <= tol.HERMITIAN_CLAIM)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,41 +44,6 @@ def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     if not mats:
         raise ValueError("tensor_all needs at least one matrix")
     return reduce(tensor_product, mats)
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianEig:
-    """Eigendecomposition with ascending real eigenvalues.
-
-    Raises NonHermitianInput when the input fails the Hermiticity check.
-    """
-    arr = as_matrix(m)
-    if not is_hermitian(arr, tol.HERMITIAN_INPUT):
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(arr)
-    return HermitianEig(eigenvalues=vals, eigenvectors=vecs)
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The matrix is declared PSD iff the result is at least the PSD floor.
-    """
-    arr = as_matrix(m)
-    if not is_hermitian(arr, tol.HERMITIAN_INPUT):
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(arr)[0])
 
 
 def _real_part(value: complex) -> float:
@@ -107,14 +71,3 @@ def expectation(state: "QuantumState", op: np.ndarray) -> float:
         value = complex(np.einsum("ij,ji->", state.data, arr))
     return _real_part(value)
 
-
-def vector_norm_applied(state: "QuantumState", op: np.ndarray) -> float:
-    """Euclidean norm of op|psi>; defined on pure states only."""
-    if state.kind != "pure":
-        raise DensityInput("this norm is defined on pure states only")
-    arr = as_matrix(op)
-    if arr.shape[0] != state.dim:
-        raise DimensionMismatch(
-            f"operator dimension {arr.shape[0]} != state dimension {state.dim}"
-        )
-    return float(np.linalg.norm(arr @ state.data))

@@ -43,7 +43,7 @@ class Observable:
 
     def __post_init__(self) -> None:
         arr = as_matrix(self.matrix)
-        if not is_hermitian(arr, tol.HERMITIAN_CLAIM):
+        if not is_hermitian(arr):
             raise NonHermitianInput("observable matrix is not Hermitian")
         eye = np.eye(arr.shape[0])
         if np.max(np.abs(arr @ arr - eye)) > tol.INVOLUTION:
@@ -81,7 +81,7 @@ class QuantumState:
                 raise DimensionMismatch(
                     f"matrix dimension {arr.shape[0]} != product of dims {total}"
                 )
-            if not is_hermitian(arr, tol.HERMITIAN_CLAIM):
+            if not is_hermitian(arr):
                 raise NonHermitianInput("density matrix is not Hermitian")
             if abs(np.trace(arr).real - 1.0) > tol.TRACE_ONE:
                 raise ValueError("density matrix trace is not 1")

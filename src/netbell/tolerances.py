@@ -7,9 +7,6 @@ in ``cli.py``. No call takes a tolerance argument.
 # Claimed-Hermitian matrices: max entry of |M - M^dag|.
 HERMITIAN_CLAIM = 1e-12
 
-# Hermiticity check applied to eigendecomposition / best-response inputs.
-HERMITIAN_INPUT = 1e-10
-
 # Smallest admissible eigenvalue for a matrix declared PSD.
 PSD_FLOOR = -1e-9
 

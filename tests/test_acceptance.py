@@ -33,7 +33,7 @@ from netbell.optimize import (
     seesaw_optimize,
     vector_model_optimize,
 )
-from netbell.qcore import expectation, vector_norm_applied
+from netbell.qcore import expectation
 from netbell.states import Observable, QuantumState
 
 SQ2 = math.sqrt(2)
@@ -76,8 +76,9 @@ def test_criterion_2_chained_optima():
 
 
 def test_criterion_3_gm_optimum():
-    # The closed construction below is anticommuting_set observables with
-    # maximally_entangled(2^floor(m/2)) sources (see optimal_assignment).
+    # The closed construction below is realize of orthonormal vectors:
+    # anticommuting_set observables on maximally_entangled(2^floor(m/2))
+    # sources (see optimal_assignment).
     for m in range(2, 6):
         f = build_functional(Kind.GM, m, 1)
         state, assignment = optimal_assignment(f)
@@ -86,13 +87,19 @@ def test_criterion_3_gm_optimum():
     f4 = build_functional(Kind.GM, 4, 1)
     cfg = SeesawConfig(edge_dim=2, restarts=50, seed=11, tol=1e-15, max_iters=600)
     restricted = seesaw_optimize(f4, cfg).value
-    ambient3, _ = vector_model_optimize(f4, ambient=3, seed=11, restarts=20)
+    ambient3, model = vector_model_optimize(f4, ambient=3, seed=11, restarts=20)
     assert restricted < 16.0
     assert restricted == pytest.approx(ambient3, abs=1e-3)
+    # The ambient-3 optimum, realized on qubits, is certified optimal there.
+    assert ambient3 == pytest.approx(15.4548, abs=1e-4)
+    cert = sos_certificate(f4, *op.realize(f4, model.vectors))
+    assert cert.value == pytest.approx(ambient3, abs=1e-10)
+    assert abs(cert.gap) <= 1e-10 and cert.gamma_min_eig >= -1e-10
     report(
         3,
         f"sign-family closed-form optima m=2..5; dim-2 ceiling "
-        f"{restricted:.6f} matches ambient-3 value {ambient3:.6f}",
+        f"{restricted:.6f} matches ambient-3 value {ambient3:.6f}, "
+        f"certified through realize",
     )
 
 
@@ -250,5 +257,5 @@ def test_fixed_point_property_checks():
     _, res3 = tight_seesaw(Kind.CHAINED, 3, 1)
     a1, a2, a3 = (o.matrix for o in res3.observables.edge[0])
     rel = np.kron(a1 - a2 + a3, np.eye(2))
-    assert vector_norm_applied(res3.state, rel) <= 1e-4
+    assert np.linalg.norm(rel @ res3.state.data) <= 1e-4
     report("fixed-point", "CHSH anticommutation and chained m=3 relation hold")

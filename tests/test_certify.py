@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netbell import optimize as op
 from netbell.certify import (
     _PAULI_PAIRS,
+    _draw_states,
     _root_sum_weight,
     bilocal_max_pair,
     correlation_matrix,
@@ -21,6 +22,7 @@ from netbell.functionals import (
     Kind,
     ObservableAssignment,
     build_functional,
+    eval_functional,
 )
 from netbell.optimize import SeesawConfig, optimal_assignment, seesaw_optimize
 from netbell.qcore import tensor_all
@@ -31,6 +33,8 @@ from netbell.states import (
     Observable,
     QuantumState,
     maximally_entangled,
+    network_product_state,
+    observable_from_bloch,
     random_two_qubit_density,
     schmidt_pure_two_qubit,
 )
@@ -158,6 +162,35 @@ class TestBilocalMaxPair:
         a = random_two_qubit_density(5, rank=3)
         b = random_two_qubit_density(6, rank=2)
         assert bilocal_max_pair(a, b) == pytest.approx(bilocal_max_pair(b, a))
+
+    def test_traceless_products_exceed_class_o(self):
+        # Seed 3, trial 0 of a bilocal scan. Each edge party measures the top
+        # two left singular directions a_0, a_1 of its source's correlation
+        # matrix T; the central party measures b_i.sigma (x) c_i.sigma with
+        # b_i = T^T (a_0 +- a_1) normalized. These are traceless products,
+        # but b_1, b_2 are not orthogonal, so they leave class O.
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        states = _draw_states(rng, 2, (1,))
+        edge, sides = [], []
+        for s in states:
+            t = correlation_matrix(s)
+            a = np.linalg.svd(t)[0][:, :2].T
+            edge.append(tuple(observable_from_bloch(x) for x in a))
+            sides.append([t.T @ (a[0] + sign * a[1]) for sign in (1, -1)])
+        central = tuple(
+            Observable(np.kron(*(observable_from_bloch(b / np.linalg.norm(b)).matrix
+                                 for b in pair)))
+            for pair in zip(*sides)
+        )
+        value, _ = eval_functional(
+            build_functional(Kind.BILOCAL, 2, 2),
+            network_product_state(states),
+            ObservableAssignment(edge=tuple(edge), central=central),
+        )
+        geo = math.sqrt(horodecki_chsh_max(states[0]) * horodecki_chsh_max(states[1]))
+        assert value == pytest.approx(geo, abs=1e-12)
+        assert value == pytest.approx(2.329921, abs=1e-6)
+        assert bilocal_max_pair(*states) == pytest.approx(2.113297, abs=1e-6)
 
 
 def random_assignment(f, rng, dim=2):

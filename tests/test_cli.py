@@ -156,6 +156,22 @@ class TestOptimizeCommand:
         assert len(err.strip().splitlines()) == 1
         assert "ambient" in err
 
+    def test_infinite_tol_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--expr", "chsh", "--tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "tol" in err
+
+    def test_ambient_above_guard_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--expr", "chsh", "--model", "vector", "--ambient", "4097"
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "ambient" in err
+
     def test_pretty_and_csv_modes(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--expr", "chsh", "--out", "pretty"

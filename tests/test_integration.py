@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netbell
 from netbell import serialize
 from netbell.certify import correspondence_scan
 from netbell.classical import (
@@ -107,3 +110,18 @@ class TestNetworkStateLayout:
         # One noisy wing scales its correlators by 0.7: value
         # sqrt(2*0.7) + sqrt(2*0.7) in place of 2*sqrt(2).
         assert value == pytest.approx(2 * math.sqrt(2 * 0.7), abs=1e-9)
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        assert [name for name in netbell.__all__ if not hasattr(netbell, name)] == []
+
+    def test_traced_layers_exist(self):
+        # The traced benchmark wraps every function in its layer map and
+        # stops with MissingLayer when one of them is gone.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        with tracer.Tracer().active() as bound:
+            assert sorted(bound) == sorted(tracer.TRACED)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from netbell import tolerances as tol
-from netbell.errors import DimensionGuard, NonHermitianInput, OutOfRange
+from netbell.certify import sos_certificate
+from netbell.errors import DimensionGuard, OutOfRange, ZeroNorm
 from netbell.functionals import (
+    BIPARTITE_KINDS,
     Kind,
     ObservableAssignment,
     build_functional,
@@ -15,26 +20,29 @@ from netbell.functionals import (
 )
 from netbell.optimize import (
     _DENSE_EIG_LIMIT,
+    TOTAL_DIMENSION_GUARD,
     SeesawConfig,
     _correlators,
     _edge_update,
     _random_involution,
+    _sign_eig,
     _state_factor,
     _steering,
     _top_eigvec,
     _Workspace,
-    best_response_observable,
     optimal_assignment,
+    realize,
     seesaw_optimize,
     vector_model_optimize,
     vector_model_value,
 )
-from netbell.qcore import expectation, tensor_all, vector_norm_applied
+from netbell.qcore import expectation, tensor_all
 from netbell.states import (
     SIGMA_X,
     SIGMA_Z,
     Observable,
     QuantumState,
+    anticommuting_set,
     network_product_state,
     random_two_qubit_density,
 )
@@ -43,28 +51,29 @@ SQ2 = math.sqrt(2)
 
 
 class TestBestResponse:
+    """``_sign_eig`` is the best response: the Hermitian involution A that
+    maximizes Tr(A H)."""
+
     def test_already_an_involution(self):
-        assert np.allclose(best_response_observable(SIGMA_Z).matrix, SIGMA_Z)
+        assert np.allclose(_sign_eig(SIGMA_Z), SIGMA_Z)
 
     def test_scaling_invariance(self):
-        assert np.allclose(best_response_observable(3 * SIGMA_X).matrix, SIGMA_X)
+        assert np.allclose(_sign_eig(3 * SIGMA_X), SIGMA_X)
 
     def test_eigenvalue_signs(self):
         h = np.diag([2.0, -1.0, 0.5, -0.1])
-        got = best_response_observable(h).matrix
-        assert np.allclose(got, np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert np.allclose(_sign_eig(h), np.diag([1.0, -1.0, 1.0, -1.0]))
+
+    def test_zero_eigenvalues_map_to_plus_one(self):
+        assert np.allclose(_sign_eig(np.diag([0.0, -1.0, 0.0])), np.diag([1.0, -1.0, 1.0]))
+        assert np.allclose(_sign_eig(np.zeros((2, 2))), np.eye(2))
 
     def test_maximizes_trace(self):
         rng = np.random.default_rng(2)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = (g + g.conj().T) / 2
-        best = best_response_observable(h).matrix
-        target = np.trace(best @ h).real
+        target = np.trace(_sign_eig(h) @ h).real
         assert target == pytest.approx(np.sum(np.abs(np.linalg.eigvalsh(h))))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            best_response_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def run_seesaw(kind, m, n, dim=2, restarts=5, seed=7):
@@ -155,7 +164,7 @@ class TestSeesaw:
         _, res = run_seesaw(Kind.CHAINED, 3, 1)
         a1, a2, a3 = (o.matrix for o in res.observables.edge[0])
         op = np.kron(a1 - a2 + a3, np.eye(2))
-        assert vector_norm_applied(res.state, op) <= 1e-4
+        assert np.linalg.norm(op @ res.state.data) <= 1e-4
 
     def test_seesaw_below_vector_relaxation(self):
         # Qubit observables realize exactly the ambient-3 Gram vectors, so
@@ -176,6 +185,7 @@ class TestSeesaw:
             {"tol": 0.0},
             {"tol": -1e-12},
             {"tol": float("nan")},
+            {"tol": float("inf")},
             {"restarts": 0},
             {"max_iters": 0},
             {"max_iters": -1},
@@ -355,7 +365,7 @@ class TestBatchedKernel:
         new = _edge_update(ws, 0, edge[0], np.array([0.0, 1.0, 0.0]), steer)
         assert np.array_equal(edge[0], held)
         assert np.array_equal(new[0], held[0])
-        best = best_response_observable(steer[1]).matrix
+        best = _sign_eig(steer[1])
         for x in (1, 2):
             assert np.allclose(new[x], best, atol=1e-12)
 
@@ -407,6 +417,11 @@ class TestVectorModel:
         b, _ = vector_model_optimize(f, ambient=2, seed=9)
         assert a == b
 
+    def test_ambient_guard(self):
+        f = build_functional(Kind.CHSH, 2, 1)
+        with pytest.raises(DimensionGuard):
+            vector_model_optimize(f, ambient=TOTAL_DIMENSION_GUARD + 1)
+
     def test_value_of_explicit_model(self):
         f = build_functional(Kind.CHSH, 2, 1)
         vectors = np.array([[[1.0, 0.0], [0.0, 1.0]]])
@@ -437,3 +452,56 @@ class TestOptimalAssignment:
         state, assignment = optimal_assignment(f)
         value, _ = eval_functional(f, state, assignment)
         assert value == pytest.approx(quantum_bound(f), abs=1e-8)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_edge_observables_pinned(self, m):
+        # Sign-table kinds measure the anticommuting set itself, cyclic
+        # kinds the planar fan cos(i pi/m) Z + sin(i pi/m) X.
+        _, gm = optimal_assignment(build_functional(Kind.GM, m, 1))
+        for got, want in zip(gm.edge[0], anticommuting_set(m)):
+            assert np.array_equal(got.matrix, want.matrix)
+        _, chained = optimal_assignment(build_functional(Kind.CHAINED, m, 1))
+        for i, got in enumerate(chained.edge[0]):
+            phi = i * math.pi / m
+            want = math.cos(phi) * SIGMA_Z + math.sin(phi) * SIGMA_X
+            assert np.array_equal(got.matrix, want)
+
+
+@st.composite
+def vector_configurations(draw):
+    """A functional of any kind with random unit vectors in ambient 2..5,
+    its realized total dimension at most 256."""
+    kind = draw(st.sampled_from(list(Kind)))
+    two = kind in (Kind.CHSH, Kind.BILOCAL, Kind.STAR)
+    m = 2 if two else draw(st.integers(2, 5))
+    if kind in BIPARTITE_KINDS:
+        n = 1
+    else:
+        n = 2 if kind is Kind.BILOCAL else draw(st.integers(1, 3))
+    f = build_functional(kind, m, n)
+    ambient = draw(st.integers(2, 5))
+    assume((2 ** (ambient // 2)) ** (2 * f.parties) <= 256)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal((f.parties, m, ambient))
+    return f, v / np.linalg.norm(v, axis=2, keepdims=True)
+
+
+class TestRealize:
+    @settings(max_examples=40, deadline=None)
+    @given(case=vector_configurations())
+    def test_value_is_vector_model_value_and_certified(self, case):
+        f, v = case
+        state, assignment = realize(f, v)
+        d = 2 ** (v.shape[2] // 2)
+        assert state.subsystem_dims == (d,) * f.parties + (d**f.parties,)
+        value, _ = eval_functional(f, state, assignment)
+        assert value == pytest.approx(vector_model_value(f, v), abs=1e-12)
+        report = sos_certificate(f, state, assignment)
+        assert abs(report.gap) <= 1e-12
+        assert report.gamma_min_eig >= -1e-12
+
+    def test_vanishing_signed_sum(self):
+        # The wrap term of chained m=2 is v_1 - v_0.
+        f = build_functional(Kind.CHAINED, 2, 1)
+        with pytest.raises(ZeroNorm):
+            realize(f, np.array([[[1.0, 0.0], [1.0, 0.0]]]))

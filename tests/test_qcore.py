@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netbell import qcore
-from netbell.errors import DensityInput, DimensionMismatch, NonHermitianInput
+from netbell.errors import DimensionMismatch
 from netbell.states import SIGMA_X, SIGMA_Z, QuantumState
 
 SINGLET = QuantumState.pure(np.array([0, 1, -1, 0]) / np.sqrt(2), (2, 2))
@@ -55,60 +55,6 @@ class TestTensorProduct:
             assert np.max(np.abs(left - right)) <= 1e-14
 
 
-class TestHermitianEig:
-    def test_pauli_spectrum(self):
-        eig = qcore.hermitian_eig(SIGMA_Z)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-
-    def test_identity(self):
-        eig = qcore.hermitian_eig(np.eye(4))
-        assert np.allclose(eig.eigenvalues, np.ones(4))
-
-    def test_xx_plus_zz_spectrum(self):
-        m = np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z)
-        expected = np.array([-2.0, 0.0, 0.0, 2.0])
-        # Independent checks of the frozen spectrum: each value is a root
-        # of det(M - t I) (LU-based determinant), and power sums match.
-        for t in expected:
-            assert abs(np.linalg.det(m - t * np.eye(4))) <= 1e-10
-        assert abs(np.trace(m) - expected.sum()) <= 1e-12
-        assert abs(np.sum(np.abs(m) ** 2) - np.sum(expected**2)) <= 1e-12
-        eig = qcore.hermitian_eig(m)
-        assert np.allclose(eig.eigenvalues, expected)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = (g + g.conj().T) / 2
-        eig = qcore.hermitian_eig(m)
-        v, lam = eig.eigenvectors, eig.eigenvalues
-        assert np.max(np.abs(m - v @ np.diag(lam) @ v.conj().T)) <= 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10
-        assert np.all(np.diff(lam) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            qcore.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert qcore.min_eigenvalue(np.eye(2)) == pytest.approx(1.0)
-
-    def test_sigma_z(self):
-        assert qcore.min_eigenvalue(SIGMA_Z) == pytest.approx(-1.0)
-
-    def test_gram_matrices_are_psd(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            assert qcore.min_eigenvalue(g.conj().T @ g) >= -1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            qcore.min_eigenvalue(np.array([[0.0, 2.0], [0.0, 0.0]]))
-
-
 class TestExpectation:
     def test_ket_zero_sigma_z(self):
         state = QuantumState.pure([1, 0], (2,))
@@ -146,28 +92,3 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             qcore.expectation(SINGLET, SIGMA_Z)
 
-
-class TestVectorNormApplied:
-    def test_zero_matrix(self):
-        assert qcore.vector_norm_applied(SINGLET, np.zeros((4, 4))) == 0.0
-
-    def test_anticommuting_sum(self):
-        op = np.kron(SIGMA_Z + SIGMA_X, np.eye(2))
-        assert qcore.vector_norm_applied(SINGLET, op) == pytest.approx(np.sqrt(2))
-
-    def test_parallel_sum(self):
-        op = 2 * np.kron(SIGMA_Z, np.eye(2))
-        assert qcore.vector_norm_applied(SINGLET, op) == pytest.approx(2.0)
-
-    def test_squared_norm_equals_expectation(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            norm = qcore.vector_norm_applied(SINGLET, op)
-            expect = qcore.expectation(SINGLET, op.conj().T @ op)
-            assert abs(norm**2 - expect) <= 1e-10
-
-    def test_density_input_rejected(self):
-        rho = QuantumState.density(np.eye(4) / 4, (2, 2))
-        with pytest.raises(DensityInput):
-            qcore.vector_norm_applied(rho, np.eye(4))

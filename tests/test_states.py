@@ -73,7 +73,7 @@ class TestObservableFromBloch:
         obs = observable_from_bloch(v)
         assert np.allclose(obs.matrix, (SIGMA_X + SIGMA_Z) / math.sqrt(2))
         # 2x2 spectrum oracle: eigenvalues of a.sigma solve t^2 = |a|^2 = 1.
-        lam = qcore.hermitian_eig(obs.matrix).eigenvalues
+        lam = np.linalg.eigvalsh(obs.matrix)
         assert np.allclose(lam, [-1.0, 1.0])
 
     def test_rejects_non_unit(self):
