@@ -275,8 +275,11 @@ def correspondence_scan(
 
     ``m`` and ``n`` must define the family's functional (bilocal is
     m = n = 2, star has m = 2); otherwise InvalidScenario is raised.
-    DimensionGuard is raised before any state is drawn when the n sources
-    span more than TOTAL_DIMENSION_GUARD dimensions.
+    ``ranks`` must be non-empty with every entry in 1..4; otherwise
+    OutOfRange is raised, so a rank that no trial happens to draw is
+    refused too. DimensionGuard is raised when the n sources span more
+    than TOTAL_DIMENSION_GUARD dimensions. All three are checked before
+    any state is drawn.
 
     For the two-source closed-form family the scan additionally records
     whether "both edges beat the local bound implies the network does"
@@ -289,6 +292,8 @@ def correspondence_scan(
         raise OutOfRange("trials must be at least 1")
     if edge_restarts < 1:
         raise OutOfRange("edge restarts must be at least 1")
+    if not ranks or any(r not in (1, 2, 3, 4) for r in ranks):
+        raise OutOfRange(f"ranks must be a non-empty list in 1..4, got {list(ranks)}")
     if family not in ("bilocal", "star", "xi"):
         raise ValueError(f"unknown family {family!r}")
     # Rejects the (m, n) that do not define the family's functional:

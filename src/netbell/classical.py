@@ -19,12 +19,16 @@ import numpy as np
 from .errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
 from .functionals import LINEAR, Functional, build_sign_table, combine
 
-SEARCH_SPACE_GUARD = 2**34
+# Rows x terms of one orbit sweep, the work of an enumeration.
+SEARCH_SPACE_GUARD = 2**26
 MIXTURE_GUARD = 2**22
 # np.einsum takes at most 64 operands (numpy 2): two per source, the
 # central table and the output.
 _MAX_MIXTURE_SOURCES = 31
 _CHUNK = 1 << 16
+# Floats in the enumeration's per-party response table and in one chunk's
+# term products: _CHUNK rows of up to 16 terms.
+_FLOAT_BUDGET = 16 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,9 @@ def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
     if edge.shape != (parties, f.m):
         raise ShapeMismatch(f"edge responses must be {parties} x {f.m}")
     central = np.array(s.central_responses, dtype=float)
-    if central.shape != (f.n_central_inputs,):
+    if central.shape != (f.n_terms,):
         raise ShapeMismatch(
-            f"central responses must have length {f.n_central_inputs}"
+            f"central responses must have length {f.n_terms}"
         )
     _check_pm_one(edge, "edge response")
     _check_pm_one(central, "central response")
@@ -98,22 +102,34 @@ def enumerate_deterministic_max(
     A row's value with the best central responses is ``combine`` of the
     absolute per-term products of its edge factors; the witness's central
     responses come from the winning row's products.
+
+    Raises ``SearchSpaceTooLarge`` before allocating anything when the
+    sweep's rows x terms exceed ``SEARCH_SPACE_GUARD`` or the stacked
+    (parties, 2^(m-1), T) response table exceeds ``_FLOAT_BUDGET`` floats,
+    the budget of one chunk's (rows, T) products too.
     """
-    parties = f.parties
-    m, n_terms = f.m, f.n_terms
-    space = (2**m) ** parties * 2**f.n_central_inputs
-    if space > SEARCH_SPACE_GUARD:
-        raise SearchSpaceTooLarge(f"search space {space} exceeds {SEARCH_SPACE_GUARD}")
+    parties, n_terms = f.parties, f.n_terms
+    half = 2 ** (f.m - 1)
+    rows = half**parties
+    table = parties * half * n_terms
+    if rows * n_terms > SEARCH_SPACE_GUARD:
+        raise SearchSpaceTooLarge(
+            f"sweep of {rows} rows x {n_terms} terms exceeds {SEARCH_SPACE_GUARD}"
+        )
+    if table > _FLOAT_BUDGET:
+        raise SearchSpaceTooLarge(
+            f"response table of {table} floats exceeds {_FLOAT_BUDGET}"
+        )
 
     # Negated sign-table rows: first response -1, lexicographic, -1 < +1.
-    signs = -np.array(build_sign_table(m).rows, dtype=float)
-    per_party = [signs @ f.coefficient_matrix(k).T for k in range(parties)]
+    signs = -np.array(build_sign_table(f.m).rows, dtype=float)
+    per_party = signs @ np.swapaxes(f.coefficients, 1, 2)
 
-    shape = (len(signs),) * parties
-    total = len(signs) ** parties
+    shape = (half,) * parties
+    chunk = _FLOAT_BUDGET // max(n_terms, 16)
     best_value = -np.inf
-    for start in range(0, total, _CHUNK):
-        digits = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+    for start in range(0, rows, chunk):
+        digits = np.unravel_index(np.arange(start, min(start + chunk, rows)), shape)
         prod = np.ones((digits[0].size, n_terms))
         for k in range(parties):
             prod *= per_party[k][digits[k]]
@@ -128,7 +144,7 @@ def enumerate_deterministic_max(
     if f.combiner == LINEAR:
         central = tuple(1 if p > 0 else -1 for p in best_prod)
     else:
-        central = tuple([-1] * f.n_central_inputs)
+        central = tuple([-1] * f.n_terms)
     witness = DeterministicStrategy(edge_responses=edge, central_responses=central)
     return best_value, witness
 
@@ -154,7 +170,7 @@ def _mixture_terms(
     for k in range(parties):
         operands += [weights[k], [0, sources[k]]]
     for k in range(parties):
-        operands += [responses[k] @ f.coefficient_matrix(k).T, [0, sources[k], term]]
+        operands += [responses[k] @ f.coefficients[k].T, [0, sources[k], term]]
     operands += [central, [0, *sources, term]]
     return np.einsum(*operands, [0, term])
 
@@ -173,9 +189,9 @@ def eval_model(f: Functional, model: HiddenVariableModel) -> float:
 
     central = np.asarray(model.central_responses, dtype=float)
     expected = tuple(w.shape[0] for w in weights)
-    if central.shape != expected + (f.n_central_inputs,):
+    if central.shape != expected + (f.n_terms,):
         raise ShapeMismatch(
-            f"central table must have shape {expected + (f.n_central_inputs,)}"
+            f"central table must have shape {expected + (f.n_terms,)}"
         )
 
     per_term = _mixture_terms(
@@ -197,7 +213,7 @@ def random_model(
     edge = tuple(
         2.0 * rng.integers(0, 2, size=(s, f.m)) - 1.0 for _ in range(parties)
     )
-    central = 2.0 * rng.integers(0, 2, size=(s,) * parties + (f.n_central_inputs,)) - 1.0
+    central = 2.0 * rng.integers(0, 2, size=(s,) * parties + (f.n_terms,)) - 1.0
     return HiddenVariableModel(
         weights=weights, edge_responses=edge, central_responses=central
     )
@@ -226,7 +242,7 @@ def sample_nlocal_value(
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
     parties = f.parties
-    table = support_size**parties * f.n_central_inputs
+    table = support_size**parties * f.n_terms
     if table > MIXTURE_GUARD or parties > _MAX_MIXTURE_SOURCES:
         raise SearchSpaceTooLarge(
             f"mixture over {parties} sources of support {support_size} needs "

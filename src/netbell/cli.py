@@ -1,12 +1,13 @@
 """Command-line surface: reproducible experiments with machine-readable
 records.
 
-Every run emits one RunRecord carrying the scenario, the seed, the value
-and both closed-form bounds. Exit codes are part of the contract:
+Every run emits one run record, a plain dict carrying the scenario, the
+seed, the value and both closed-form bounds. Exit codes are part of the
+contract:
 
 * 0 success
-* 2 usage error, invalid scenario, malformed settings file, or an output
-  file that cannot be written
+* 2 usage error, invalid scenario, an option the chosen run does not use,
+  malformed settings file, or an output file that cannot be written
 * 3 dimension / search-space guard
 * 4 formula and enumeration bounds disagree
 * 5 certificate failure (negative gap or certificate operator not PSD)
@@ -23,7 +24,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,86 +56,45 @@ EXIT_BOUND_MISMATCH = 4
 EXIT_CERTIFICATE = 5
 EXIT_CORRESPONDENCE = 6
 
-# optimize's seesaw-only options, None when not given; certify keeps its own.
+# Run-dependent options and their defaults where they apply; the parser
+# leaves them None, so that a given option the run does not use is seen.
 SEESAW_DEFAULTS = {"dim": 2, "restarts": 5, "iters": 600, "tol": 1e-14}
+CERTIFY_DEFAULTS = {
+    "at_optimum": True, "dim": 2, "restarts": 8, "iters": 600, "tol": 1e-15,
+}
+SAMPLE_DEFAULTS = {"trials": 10_000, "support": 2}
+
+CSV_FIELDS = (
+    "command", "kind", "m", "n", "seed", "value",
+    "classical_bound", "quantum_bound", "wall_time_ms", "version",
+)
 
 SIGN_FAMILY_NOTE = (
     "classical bound uses m*C(m-1,floor((m-1)/2)), confirmed by exhaustive "
-    "enumeration for m <= 5 (6 at m=3); the superficially similar closed form "
+    "enumeration for m <= 11 (6 at m=3); the superficially similar closed form "
     "m*C(m,floor((m-1)/2)) does not match enumeration (it gives 9 at m=3)"
 )
 
 
-@dataclass
-class RunRecord:
-    """One machine-readable experiment record; round-trips bit-identically
-    through JSON apart from wall_time_ms and version."""
-
-    command: str
-    scenario: dict
-    seed: int | None
-    value: float
-    classical_bound: float
-    quantum_bound: float
-    artifacts: dict | None
-    note: str | None
-    wall_time_ms: int
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "value": self.value,
-            "classical_bound": self.classical_bound,
-            "quantum_bound": self.quantum_bound,
-            "artifacts": self.artifacts,
-            "note": self.note,
-            "wall_time_ms": self.wall_time_ms,
-            "version": self.version,
-        }
-
-
-def _emit(record: RunRecord, fmt: str) -> None:
-    data = record.to_dict()
+def _emit(record: dict, fmt: str) -> None:
+    scenario = record["scenario"]
     if fmt == "json":
-        print(serialize.dumps(data))
+        print(serialize.dumps(record))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        fields = [
-            "command", "kind", "m", "n", "seed", "value",
-            "classical_bound", "quantum_bound", "wall_time_ms", "version",
-        ]
-        writer.writerow(fields)
-        writer.writerow(
-            [
-                record.command,
-                record.scenario["kind"],
-                record.scenario["m"],
-                record.scenario["n"],
-                record.seed,
-                repr(record.value),
-                repr(record.classical_bound),
-                repr(record.quantum_bound),
-                record.wall_time_ms,
-                record.version,
-            ]
-        )
-        sys.stdout.write(buf.getvalue())
+        writer = csv.writer(sys.stdout)
+        writer.writerow(CSV_FIELDS)
+        writer.writerow([{**scenario, **record}[k] for k in CSV_FIELDS])
     else:
-        kind = record.scenario["kind"]
         print(
-            f"{record.command} {kind} m={record.scenario['m']} "
-            f"n={record.scenario['n']}: value = {record.value:.9f}"
+            f"{record['command']} {scenario['kind']} m={scenario['m']} "
+            f"n={scenario['n']}: value = {record['value']:.9f}"
         )
         print(
-            f"  classical bound = {record.classical_bound:.9f}   "
-            f"quantum bound = {record.quantum_bound:.9f}"
+            f"  classical bound = {record['classical_bound']:.9f}   "
+            f"quantum bound = {record['quantum_bound']:.9f}"
         )
-        if record.note:
-            print(f"  note: {record.note}")
+        if record["note"]:
+            print(f"  note: {record['note']}")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -163,19 +122,35 @@ def _build_functional_from_args(args) -> "Functional":
     return build_functional(Kind(args.expr), args.m, n)
 
 
-def _record(command, f, seed, value, artifacts=None, note=None, started=0.0):
-    return RunRecord(
-        command=command,
-        scenario=serialize.functional_to_json(f),
-        seed=seed,
-        value=float(value),
-        classical_bound=classical_bound(f),
-        quantum_bound=quantum_bound(f),
-        artifacts=artifacts,
-        note=note,
-        wall_time_ms=int((time.perf_counter() - started) * 1000),
-        version=__version__,
-    )
+def _record(command, f, seed, value, artifacts=None, note=None, started=0.0) -> dict:
+    """One machine-readable run record; it round-trips bit-identically
+    through JSON apart from wall_time_ms and version."""
+    return {
+        "command": command,
+        "scenario": serialize.functional_to_json(f),
+        "seed": seed,
+        "value": float(value),
+        "classical_bound": classical_bound(f),
+        "quantum_bound": quantum_bound(f),
+        "artifacts": artifacts,
+        "note": note,
+        "wall_time_ms": int((time.perf_counter() - started) * 1000),
+        "version": __version__,
+    }
+
+
+def _settle_options(args, defaults: dict, applies: bool, run: str) -> None:
+    """When the run uses the options of ``defaults``, give each one not
+    given its default; when it does not, refuse every one that was given
+    (InvalidScenario, exit 2) instead of ignoring it."""
+    if applies:
+        for k, default in defaults.items():
+            if getattr(args, k) is None:
+                setattr(args, k, default)
+        return
+    given = [f"--{k.replace('_', '-')}" for k in defaults if getattr(args, k) is not None]
+    if given:
+        raise InvalidScenario(f"{', '.join(given)} not used by {run}")
 
 
 def _seesaw_config(args) -> SeesawConfig:
@@ -186,22 +161,17 @@ def _seesaw_config(args) -> SeesawConfig:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     f = _build_functional_from_args(args)
-    unused = list(SEESAW_DEFAULTS) if args.model == "vector" else ["ambient"]
-    given = [f"--{k}" for k in unused if getattr(args, k) is not None]
-    if given:
-        raise InvalidScenario(f"{', '.join(given)} not used by --model {args.model}")
-    if args.model == "vector":
-        ambient = f.m if args.ambient is None else args.ambient
-        value, model = vector_model_optimize(f, ambient=ambient, seed=args.seed)
+    vector, run = args.model == "vector", f"--model {args.model}"
+    _settle_options(args, {"ambient": f.m}, vector, run)
+    _settle_options(args, SEESAW_DEFAULTS, not vector, run)
+    if vector:
+        value, model = vector_model_optimize(f, ambient=args.ambient, seed=args.seed)
         artifacts = {
             "model": "vector",
-            "ambient": ambient,
+            "ambient": args.ambient,
             "vectors": np.asarray(model.vectors).tolist(),
         }
     else:
-        for k, default in SEESAW_DEFAULTS.items():
-            if getattr(args, k) is None:
-                setattr(args, k, default)
         result = seesaw_optimize(f, _seesaw_config(args))
         artifacts = {
             "model": "seesaw",
@@ -221,6 +191,8 @@ def cmd_bound(args) -> int:
     f = _build_functional_from_args(args)
     note = SIGN_FAMILY_NOTE if f.kind in (Kind.GM, Kind.DELTA) else None
     formula = classical_bound(f)
+    sample, run = args.method == "sample", f"--method {args.method}"
+    _settle_options(args, SAMPLE_DEFAULTS, sample, run)
     if args.method == "formula":
         value, artifacts = formula, None
     elif args.method == "enumerate":
@@ -254,6 +226,7 @@ def cmd_certify(args) -> int:
     if not args.settings and not args.at_optimum:
         print("certify needs --settings FILE or --at-optimum", file=sys.stderr)
         return EXIT_USAGE
+    _settle_options(args, CERTIFY_DEFAULTS, not args.settings, "--settings")
     if args.settings:
         try:
             state, assignment = _load_settings(args.settings)
@@ -327,7 +300,7 @@ def cmd_correspondence(args) -> int:
         }
         for r in report.results
     ]
-    margins = [r.bound - r.network_value for r in report.results]
+    min_margin = min(row["margin"] for row in rows)
     artifacts = {
         "family": report.family,
         "trials": report.trials,
@@ -335,17 +308,10 @@ def cmd_correspondence(args) -> int:
         "ranks": list(args.ranks),
         "satisfied": report.satisfied,
         "implication_failures": report.implication_failures,
-        "min_margin": min(margins),
+        "min_margin": min_margin,
         "results": rows,
     }
-    record = _record(
-        "correspondence",
-        f,
-        args.seed,
-        min(margins),
-        artifacts,
-        started=started,
-    )
+    record = _record("correspondence", f, args.seed, min_margin, artifacts, started=started)
     if args.out:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -418,21 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--method", choices=["formula", "enumerate", "sample"], default="formula"
     )
-    p_bound.add_argument("--trials", type=int, default=10_000)
-    p_bound.add_argument("--support", type=int, default=2,
-                         help="per-source support size for sampling")
+    p_bound.add_argument("--trials", type=int, default=None,
+                         help="sample only: number of mixtures (default 10000)")
+    p_bound.add_argument("--support", type=int, default=None,
+                         help="sample only: per-source support size (default 2)")
     p_bound.set_defaults(func=cmd_bound)
 
     p_cert = sub.add_parser("certify", help="sum-of-squares certificate")
     _add_scenario_args(p_cert)
     p_cert.add_argument("--settings", default=None,
                         help="JSON file with state and observables")
-    p_cert.add_argument("--at-optimum", action="store_true",
-                        help="certify the seesaw optimum")
-    p_cert.add_argument("--dim", type=int, default=2)
-    p_cert.add_argument("--restarts", type=int, default=8)
-    p_cert.add_argument("--iters", type=int, default=600)
-    p_cert.add_argument("--tol", type=float, default=1e-15)
+    p_cert.add_argument("--at-optimum", action="store_true", default=None,
+                        help="certify the seesaw optimum; --dim --restarts --iters "
+                             "--tol apply only here (defaults 2, 8, 600, 1e-15)")
+    p_cert.add_argument("--dim", type=int, default=None)
+    p_cert.add_argument("--restarts", type=int, default=None)
+    p_cert.add_argument("--iters", type=int, default=None)
+    p_cert.add_argument("--tol", type=float, default=None)
     p_cert.set_defaults(func=cmd_certify)
 
     p_corr = sub.add_parser("correspondence",

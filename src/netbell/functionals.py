@@ -10,8 +10,9 @@ value combines the term correlators as sum_i |I_i|^(1/n).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,11 +58,9 @@ def build_sign_table(m: int) -> SignTable:
     """Deterministic sign table for m settings; rows ordered by binary value."""
     if not 2 <= m <= 16:
         raise OutOfRange(f"m must be in 2..16, got {m}")
-    rows = []
-    for i in range(2 ** (m - 1)):
-        bits = [(i >> (m - 2 - j)) & 1 for j in range(m - 1)]
-        rows.append(tuple([1] + [1 - 2 * b for b in bits]))
-    return SignTable(m=m, rows=tuple(rows))
+    # product yields bits 2..m most significant first, +1 (bit 0) first.
+    rows = tuple((1, *r) for r in itertools.product((1, -1), repeat=m - 1))
+    return SignTable(m=m, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,11 @@ class Functional:
 
     Each term owns its central input: term i multiplies the central
     party's observable B_i, so there is one central input per term.
-    Construction raises ``InvalidScenario`` for a term that does not.
+    ``coefficients`` is the read-only (parties, T, m) float array of the
+    term signs, ``coefficients[k, i, x]`` the sign of setting x of edge
+    party k in term i; every evaluator reads it. Construction raises
+    ``InvalidScenario`` for a term that does not own its input, or for a
+    table that is ragged or whose party count disagrees with the kind.
     """
 
     kind: Kind
@@ -88,6 +91,7 @@ class Functional:
     n: int
     combiner: str
     terms: tuple[TermSpec, ...]
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for i, t in enumerate(self.terms):
@@ -96,31 +100,30 @@ class Functional:
                     f"term {i} uses central input {t.central_input}; "
                     f"term i must use central input i"
                 )
+            if len(t.signs) != self.parties or any(len(row) != self.m for row in t.signs):
+                raise InvalidScenario(
+                    f"term {i} must carry {self.parties} sign rows of length {self.m}"
+                )
+        table = np.array([t.signs for t in self.terms], dtype=float)
+        table = table.reshape(len(self.terms), self.parties, self.m).transpose(1, 0, 2).copy()
+        table.setflags(write=False)
+        object.__setattr__(self, "coefficients", table)
 
     @property
     def n_terms(self) -> int:
         return len(self.terms)
 
     @property
-    def n_central_inputs(self) -> int:
-        """One central input per term."""
-        return self.n_terms
-
-    @property
     def parties(self) -> int:
         """Number of edge parties: one for bipartite kinds, n otherwise."""
         return 1 if self.kind in BIPARTITE_KINDS else self.n
-
-    def coefficient_matrix(self, party: int) -> np.ndarray:
-        """Term-by-setting sign coefficients for one edge party."""
-        return np.array([t.signs[party] for t in self.terms], dtype=float)
 
     def signed_sums(self, party: int, observables: Sequence[np.ndarray]) -> np.ndarray:
         """Per-term signed observable sums sum_x c[t, x] A_x of one edge
         party, stacked as (terms, d, d); all-zero rows give zero matrices."""
         return np.einsum(
             "tx,xab->tab",
-            self.coefficient_matrix(party),
+            self.coefficients[party],
             np.asarray(observables, dtype=complex),
         )
 
@@ -143,17 +146,8 @@ class ObservableAssignment:
 
 def _chained_signs(m: int) -> list[tuple[int, ...]]:
     # Cyclic pairs (A_i + A_{i+1}) with the wrap term (A_m - A_1).
-    rows = []
-    for i in range(m - 1):
-        row = [0] * m
-        row[i] = 1
-        row[i + 1] = 1
-        rows.append(tuple(row))
-    wrap = [0] * m
-    wrap[m - 1] = 1
-    wrap[0] = -1
-    rows.append(tuple(wrap))
-    return rows
+    rows = [tuple(int(j in (i, i + 1)) for j in range(m)) for i in range(m - 1)]
+    return rows + [(-1,) + (0,) * (m - 2) + (1,)]
 
 
 def build_functional(kind: Kind | str, m: int, n: int = 1) -> Functional:
@@ -285,8 +279,10 @@ def sign_family_classical_bound(m: int) -> int:
     """Classical bound of the sign-table families: m * C(m-1, floor((m-1)/2)).
 
     Equals sum_{j=0}^{floor(m/2)} C(m, j) (m - 2j). Exhaustive enumeration
-    over deterministic strategies confirms it for m <= 5; the search-space
-    guard stops enumeration at m = 6.
+    over deterministic strategies confirms it for gm up to m = 11 (60, 140,
+    280 at m = 6, 7, 8) and for delta m = 6, n = 2 (60). The halved sweep
+    of gm m is 2^(m-1) rows x 2^(m-1) terms; past m = 11 its response
+    table exceeds the enumeration's float budget.
     """
     return m * math.comb(m - 1, (m - 1) // 2)
 

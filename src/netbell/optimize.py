@@ -102,8 +102,9 @@ def _sign_eig(h: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared geometry for one seesaw run: slot dims, coefficient tables
-    and the batched slot contractions.
+    """Shared geometry for one seesaw run: slot dims and the batched slot
+    contractions. The sign coefficients are the functional's own
+    ``f.coefficients``; the workspace keeps no copy.
 
     The state travels as one (D, r) factor K with K K^dag = rho, whose
     correlators are c_t = sum conj(K) * (O_t K) = Tr(O_t rho): a pure
@@ -119,7 +120,6 @@ class _Workspace:
         self.f = f
         self.dims = dims
         self.parties = len(dims) - 1
-        self.coeffs = [f.coefficient_matrix(k) for k in range(self.parties)]
         # (before, slot, rest) around each slot; rest also holds the r columns.
         self.splits = [(math.prod(dims[:j]), d) for j, d in enumerate(dims)]
 
@@ -209,7 +209,7 @@ def _edge_update(
     """Best response of edge party k's (m, d, d) observables to the (T, d, d)
     steering stack under term weights w. A setting whose weighted
     coefficients w[t] C_k[t, x] all vanish is left unchanged."""
-    wc = w[:, None] * ws.coeffs[k]
+    wc = w[:, None] * ws.f.coefficients[k]
     moved = np.any(wc != 0, axis=0)
     out = observables.copy()
     out[moved] = _sign_eig(np.einsum("tx,tab->xab", wc[:, moved], steer))
@@ -239,7 +239,7 @@ def _seesaw_single(
         for k in range(ws.parties)
     ]
     central = np.array(
-        [_random_involution(dims[-1], rng) for _ in range(f.n_central_inputs)]
+        [_random_involution(dims[-1], rng) for _ in range(f.n_terms)]
     )
 
     ket = factor
@@ -374,29 +374,35 @@ def seesaw_optimize(
     )
 
 
+def _vector_sums(f: Functional, vectors: np.ndarray) -> np.ndarray:
+    """(parties, T, ambient) signed vector sums s_ik of a (parties, m,
+    ambient) configuration; other shapes would broadcast, so are refused."""
+    if np.shape(vectors)[:2] != (f.parties, f.m):
+        raise DimensionMismatch(
+            f"need ({f.parties}, {f.m}, ambient) vectors, got shape {np.shape(vectors)}"
+        )
+    return f.coefficients @ vectors
+
+
 def vector_model_value(f: Functional, vectors: np.ndarray) -> float:
     """Closed-form value of a unit-vector configuration: each per-party
     norm is ||sum_x c_x v_x|| and the combiner is applied to their
     per-term products."""
-    omegas = [
-        np.linalg.norm(f.coefficient_matrix(k) @ vectors[k], axis=1)
-        for k in range(f.parties)
-    ]
+    omegas = np.linalg.norm(_vector_sums(f, vectors), axis=2)
     return combine(f, np.prod(omegas, axis=0))
 
 
 def _vector_gradient(f: Functional, vectors: np.ndarray) -> np.ndarray:
-    parties, _, _ = vectors.shape
-    sums = [f.coefficient_matrix(k) @ vectors[k] for k in range(parties)]
-    omegas = np.array([np.linalg.norm(w, axis=1) for w in sums])
-    safe = np.where(omegas < 1e-12, 1.0, omegas)
-    terms = np.prod(np.where(omegas < 1e-12, 0.0, omegas), axis=0) ** (1.0 / f.n)
-    grad = np.zeros_like(vectors)
-    for k in range(parties):
-        coef = np.where(omegas[k] < 1e-12, 0.0, terms / (f.n * safe[k]))
-        units = sums[k] / safe[k][:, None]
-        grad[k] = f.coefficient_matrix(k).T @ (coef[:, None] * units)
-    return grad
+    """Gradient of ``vector_model_value`` in the unnormalized vectors; a
+    term with a vanishing per-party norm contributes nothing."""
+    sums = _vector_sums(f, vectors)
+    omegas = np.linalg.norm(sums, axis=2)
+    small = omegas < 1e-12
+    safe = np.where(small, 1.0, omegas)
+    terms = np.prod(np.where(small, 0.0, omegas), axis=0) ** (1.0 / f.n)
+    coef = np.where(small, 0.0, terms / (f.n * safe))
+    units = sums / safe[..., None]
+    return np.swapaxes(f.coefficients, 1, 2) @ (coef[..., None] * units)
 
 
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
@@ -469,14 +475,14 @@ def realize(f: Functional, vectors: np.ndarray) -> tuple[QuantumState, Observabl
     k's signed observable sum and s_ik its signed vector sum; ZeroNorm is
     raised when some s_ik vanishes.
     """
+    norms = np.linalg.norm(_vector_sums(f, vectors), axis=2)
+    vanishing = np.flatnonzero(np.any(norms <= tol.ZERO_NORM, axis=1))
+    if vanishing.size:
+        raise ZeroNorm(f"a signed vector sum of edge party {vanishing[0]} vanishes")
     gamma = np.array([g.matrix for g in anticommuting_set(vectors.shape[2])])
     edge = np.tensordot(vectors, gamma, axes=1)
-    units = []
-    for k, a in enumerate(edge):
-        norms = np.linalg.norm(f.coefficient_matrix(k) @ vectors[k], axis=1)
-        if np.any(norms <= tol.ZERO_NORM):
-            raise ZeroNorm(f"a signed vector sum of edge party {k} vanishes")
-        units.append(np.swapaxes(f.signed_sums(k, a), 1, 2) / norms[:, None, None])
+    sums = np.einsum("ktx,kxab->ktab", f.coefficients, edge)
+    units = np.swapaxes(sums, 2, 3) / norms[..., None, None]
     state = network_product_state([maximally_entangled(len(gamma[0]))] * len(edge))
     central = tuple(Observable(tensor_all(ops)) for ops in zip(*units))
     return state, ObservableAssignment(

@@ -175,7 +175,7 @@ def _random_assignment(f, rng, dim=2):
     )
     central = tuple(
         Observable(op._random_involution(central_dim, rng))
-        for _ in range(f.n_central_inputs)
+        for _ in range(f.n_terms)
     )
     dims = (dim,) * parties + (central_dim,)
     vec = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netbell import certify as certify_mod
 from netbell import optimize as op
 from netbell.certify import (
     _PAULI_PAIRS,
@@ -16,7 +17,7 @@ from netbell.certify import (
     horodecki_chsh_max,
     sos_certificate,
 )
-from netbell.errors import DensityInput, DimensionMismatch, ZeroNorm
+from netbell.errors import DensityInput, DimensionMismatch, OutOfRange, ZeroNorm
 from netbell.functionals import (
     LINEAR,
     Kind,
@@ -202,7 +203,7 @@ def random_assignment(f, rng, dim=2):
     )
     central = tuple(
         Observable(op._random_involution(central_dim, rng))
-        for _ in range(f.n_central_inputs)
+        for _ in range(f.n_terms)
     )
     dims = (dim,) * parties + (central_dim,)
     vec = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(
@@ -401,3 +402,12 @@ class TestCorrespondenceScan:
     def test_invalid_family(self):
         with pytest.raises(ValueError):
             correspondence_scan("triangle", trials=1, seed=0)
+
+    @pytest.mark.parametrize("ranks", [(), (0,), (1, 7), (5, 1)])
+    def test_ranks_checked_before_any_draw(self, ranks, monkeypatch):
+        # Seed 5 draws rank 1 only, so (1, 7) used to pass unnoticed.
+        monkeypatch.setattr(
+            certify_mod, "_draw_states", lambda *a: pytest.fail("drew a state")
+        )
+        with pytest.raises(OutOfRange, match="ranks"):
+            correspondence_scan("bilocal", trials=1, seed=5, ranks=ranks)

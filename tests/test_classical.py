@@ -74,7 +74,7 @@ class TestEnumerate:
         assert value == 2 * m - 2
         assert eval_strategy(f, witness) == value
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_gm(self, m):
         f = build_functional(Kind.GM, m)
         value, _ = enumerate_deterministic_max(f)
@@ -99,7 +99,7 @@ class TestEnumerate:
         value, _ = enumerate_deterministic_max(f)
         assert value == 2 * m - 2
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (6, 2)])
     def test_delta(self, m, n):
         f = build_functional(Kind.DELTA, m, n)
         value, _ = enumerate_deterministic_max(f)
@@ -118,8 +118,17 @@ class TestEnumerate:
         assert witness.central_responses == (-1, -1)
 
     def test_search_space_guard(self):
-        with pytest.raises(SearchSpaceTooLarge):
-            enumerate_deterministic_max(build_functional(Kind.GM, 6))
+        # star n=26 sweeps 2^26 rows x 2 terms, one row over the guard;
+        # n=25 (2^26 exactly) is admitted.
+        with pytest.raises(SearchSpaceTooLarge, match="rows"):
+            enumerate_deterministic_max(build_functional(Kind.STAR, 2, 26))
+
+    def test_response_table_budget(self):
+        # gm m=12: 2^11 rows x 2^11 terms is within the row guard, but the
+        # (1, 2^11, 2^11) response table is four times the float budget.
+        assert classical._FLOAT_BUDGET == 2**20
+        with pytest.raises(SearchSpaceTooLarge, match="response table"):
+            enumerate_deterministic_max(build_functional(Kind.GM, 12))
 
 
 def full_sweep_max(f):
@@ -127,12 +136,11 @@ def full_sweep_max(f):
     (-1 before +1) and keep the first maximizer, as the sweep did before it
     was cut to one table per sign orbit."""
     tables = list(itertools.product((-1, 1), repeat=f.m))
-    coefficients = [f.coefficient_matrix(k) for k in range(f.parties)]
     best_value, best_edge, best_prod = -np.inf, None, None
     for edge in itertools.product(tables, repeat=f.parties):
         prod = np.ones(f.n_terms)
         for k, row in enumerate(edge):
-            prod *= coefficients[k] @ np.array(row, dtype=float)
+            prod *= f.coefficients[k] @ np.array(row, dtype=float)
         if f.combiner == LINEAR:
             value = float(np.abs(prod).sum())
         else:
@@ -142,7 +150,7 @@ def full_sweep_max(f):
     if f.combiner == LINEAR:
         central = tuple(1 if p > 0 else -1 for p in best_prod)
     else:
-        central = (-1,) * f.n_central_inputs
+        central = (-1,) * f.n_terms
     return best_value, DeterministicStrategy(best_edge, central)
 
 

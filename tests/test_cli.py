@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,9 @@ import netbell
 from netbell import serialize
 from netbell.classical import DeterministicStrategy
 from netbell.cli import main
+from netbell.errors import DimensionGuard
 from netbell.functionals import Kind, build_functional
-from netbell.optimize import optimal_assignment
+from netbell.optimize import SeesawConfig, optimal_assignment
 from netbell.states import QuantumState, maximally_entangled
 
 from importlib.resources import files
@@ -22,6 +25,16 @@ from importlib.resources import files
 SCHEMA = json.loads(
     files("netbell").joinpath("schemas/runrecord.schema.json").read_text()
 )
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_COMMANDS = [
+    line
+    for block in re.findall(r"```\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if line.startswith("netbell ")
+]
+README_PYTHON = re.findall(r"```python\n(.*?)```", README, re.S)
 
 
 def run_cli(capsys, *argv):
@@ -243,10 +256,21 @@ class TestBoundCommand:
         assert err.startswith("guard:")
 
     def test_search_guard_exit_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bound", "--expr", "gm", "--m", "6", "--method", "enumerate"
+        code, out, err = run_cli(
+            capsys, "bound", "--expr", "star", "--n", "26", "--method", "enumerate"
         )
         assert code == 3
+        assert out == ""
+        assert err.startswith("guard:")
+
+    def test_enumerate_gm6(self, capsys):
+        # 32 rows x 32 terms: the sweep the guard measures, not the nominal
+        # (2^6) * 2^32 strategies.
+        code, out, _ = run_cli(
+            capsys, "bound", "--expr", "gm", "--m", "6", "--method", "enumerate"
+        )
+        assert code == 0
+        assert record_of(out)["value"] == 60.0
 
     def test_mismatch_exit_4(self, capsys, monkeypatch):
         import netbell.cli as cli_mod
@@ -461,6 +485,87 @@ class TestInvalidInputExit2:
         assert err.startswith("invalid scenario:")
 
 
+class TestOptionsOfTheRun:
+    @pytest.mark.parametrize(
+        "argv,options",
+        [
+            (("certify", "--expr", "chsh", "--settings", "F", "--at-optimum",
+              "--restarts", "0", "--dim", "1", "--tol", "-5"),
+             ("--at-optimum", "--restarts", "--dim", "--tol")),
+            (("certify", "--expr", "chsh", "--settings", "F", "--iters", "3"),
+             ("--iters",)),
+            (("bound", "--expr", "chsh", "--method", "formula", "--trials", "0",
+              "--support", "0"),
+             ("--trials", "--support")),
+            (("bound", "--expr", "chsh", "--method", "enumerate", "--trials", "5"),
+             ("--trials",)),
+        ],
+        ids=["certify-seesaw", "certify-iters", "formula", "enumerate"],
+    )
+    def test_unused_option_exit_2(self, capsys, argv, options):
+        # Refused before the settings file is read: F does not exist.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("invalid scenario:")
+        assert all(o in err for o in options)
+
+    def test_certify_at_optimum_defaults(self, capsys, monkeypatch):
+        import netbell.cli as cli_mod
+
+        seen = []
+
+        def stop(f, cfg):
+            seen.append(cfg)
+            raise DimensionGuard("stop")
+
+        monkeypatch.setattr(cli_mod, "seesaw_optimize", stop)
+        assert run_cli(capsys, "certify", "--expr", "chsh", "--at-optimum")[0] == 3
+        assert seen == [SeesawConfig(edge_dim=2, restarts=8, max_iters=600, tol=1e-15)]
+
+    def test_sample_defaults(self, capsys, monkeypatch):
+        import netbell.cli as cli_mod
+
+        seen = []
+
+        def sample(f, trials, support_size, seed):
+            seen.append((trials, support_size))
+            return 1.0
+
+        monkeypatch.setattr(cli_mod, "sample_nlocal_value", sample)
+        code, out, _ = run_cli(capsys, "bound", "--expr", "chsh", "--method", "sample")
+        assert code == 0
+        assert seen == [(10_000, 2)]
+        assert record_of(out)["artifacts"] == {"trials": 10_000, "support_size": 2}
+
+
+class TestReadme:
+    @pytest.fixture
+    def in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        state, assignment = optimal_assignment(build_functional(Kind.CHSH, 2, 1))
+        doc = {
+            "state": serialize.state_to_json(state),
+            **serialize.assignment_to_json(assignment),
+        }
+        (tmp_path / "settings.json").write_text(serialize.dumps(doc))
+        return tmp_path
+
+    def test_commands_found(self):
+        assert len(README_COMMANDS) == 7 and len(README_PYTHON) == 1
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_command_runs(self, capsys, in_tmp, line):
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, err
+        record_of(out)
+
+    def test_python_block_runs(self, capsys, in_tmp):
+        exec(compile(README_PYTHON[0], "README.md", "exec"), {})
+        assert capsys.readouterr().out
+
+
 class TestCorrespondenceCommand:
     def test_bilocal_scan_with_csv(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"
@@ -487,6 +592,15 @@ class TestCorrespondenceCommand:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("cannot write")
         assert not out_file.parent.exists()
+
+    def test_rank_never_drawn_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "correspondence", "--family", "bilocal", "--ranks", "1,7",
+            "--trials", "1", "--seed", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "ranks" in err
 
     def test_xi_scan(self, capsys):
         code, out, _ = run_cli(

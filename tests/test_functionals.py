@@ -269,6 +269,65 @@ class TestCombine:
         assert fn.combine(f, [8.0, -27.0, 0.0]) == 5.0
 
 
+ALL_SEVEN = [
+    (Kind.CHSH, 2, 1),
+    (Kind.CHAINED, 4, 1),
+    (Kind.GM, 3, 1),
+    (Kind.BILOCAL, 2, 2),
+    (Kind.STAR, 2, 3),
+    (Kind.DELTA, 3, 3),
+    (Kind.XI, 4, 2),
+]
+
+
+def _ragged_row(data):
+    data["terms"][1]["signs"][0] = data["terms"][1]["signs"][0][:-1]
+
+
+def _extra_party_in_one_term(data):
+    data["terms"][2]["signs"].append(data["terms"][2]["signs"][0])
+
+
+def _extra_party_in_every_term(data):
+    for term in data["terms"]:
+        term["signs"].append(term["signs"][0])
+
+
+def _m_disagrees(data):
+    data["m"] = 4
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("kind,m,n", ALL_SEVEN, ids=[k.value for k, _, _ in ALL_SEVEN])
+    def test_read_only_table_of_term_signs(self, kind, m, n):
+        f = build_functional(kind, m, n)
+        c = f.coefficients
+        assert c.shape == (f.parties, f.n_terms, m)
+        assert c.dtype == float
+        for i, term in enumerate(f.terms):
+            for k in range(f.parties):
+                assert tuple(c[k, i]) == term.signs[k]
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_ragged_row, _extra_party_in_one_term, _extra_party_in_every_term, _m_disagrees],
+    )
+    def test_json_refuses_ragged_or_missized_tables(self, mutate):
+        data = serialize.functional_to_json(build_functional(Kind.XI, 3, 2))
+        mutate(data)
+        with pytest.raises(InvalidScenario, match="sign rows"):
+            serialize.functional_from_json(data)
+
+    def test_bipartite_table_has_one_party(self):
+        data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
+        _extra_party_in_every_term(data)
+        with pytest.raises(InvalidScenario, match="1 sign rows"):
+            serialize.functional_from_json(data)
+
+
 class TestBounds:
     def test_classical_values(self):
         assert classical_bound(build_functional(Kind.CHAINED, 4)) == 6

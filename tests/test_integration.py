@@ -36,7 +36,7 @@ class TestModelStrategyBridge:
                 for _ in range(parties)
             )
             central = tuple(
-                int(v) for v in 2 * rng.integers(0, 2, f.n_central_inputs) - 1
+                int(v) for v in 2 * rng.integers(0, 2, f.n_terms) - 1
             )
             strategy = DeterministicStrategy(edge, central)
             model = HiddenVariableModel(
@@ -45,7 +45,7 @@ class TestModelStrategyBridge:
                     np.array([row], dtype=float) for row in edge
                 ),
                 central_responses=np.array(central, dtype=float).reshape(
-                    (1,) * parties + (f.n_central_inputs,)
+                    (1,) * parties + (f.n_terms,)
                 ),
             )
             assert eval_model(f, model) == pytest.approx(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from netbell import tolerances as tol
 from netbell.certify import sos_certificate
-from netbell.errors import DimensionGuard, OutOfRange, ZeroNorm
+from netbell.errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
 from netbell.functionals import (
     BIPARTITE_KINDS,
     Kind,
@@ -29,6 +29,7 @@ from netbell.optimize import (
     _state_factor,
     _steering,
     _top_eigvec,
+    _vector_gradient,
     _Workspace,
     optimal_assignment,
     realize,
@@ -219,7 +220,7 @@ def random_setting(f, dims, seed):
         for k in range(f.parties)
     ]
     central = np.array(
-        [_random_involution(dims[-1], rng) for _ in range(f.n_central_inputs)]
+        [_random_involution(dims[-1], rng) for _ in range(f.n_terms)]
     )
     total = int(np.prod(dims))
     psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
@@ -422,6 +423,14 @@ class TestVectorModel:
         with pytest.raises(DimensionGuard):
             vector_model_optimize(f, ambient=TOTAL_DIMENSION_GUARD + 1)
 
+    def test_party_count_must_match(self):
+        # A (3, 2, 2) stack would broadcast against chsh's one party.
+        f = build_functional(Kind.CHSH, 2, 1)
+        with pytest.raises(DimensionMismatch, match="vectors"):
+            vector_model_value(f, np.ones((3, 2, 2)) / SQ2)
+        with pytest.raises(DimensionMismatch, match="vectors"):
+            realize(build_functional(Kind.STAR, 2, 3), np.array([np.eye(2)]))
+
     def test_value_of_explicit_model(self):
         f = build_functional(Kind.CHSH, 2, 1)
         vectors = np.array([[[1.0, 0.0], [0.0, 1.0]]])
@@ -486,6 +495,23 @@ def vector_configurations(draw):
     return f, v / np.linalg.norm(v, axis=2, keepdims=True)
 
 
+class TestVectorGradient:
+    @settings(max_examples=40, deadline=None)
+    @given(case=vector_configurations())
+    def test_matches_central_differences(self, case):
+        f, v = case
+        # |.|^(1/n) and the norms are smooth away from a vanishing norm.
+        assume(np.linalg.norm(f.coefficients @ v, axis=2).min() > 1e-2)
+        h = 1e-6
+        fd = np.zeros_like(v)
+        for idx in np.ndindex(v.shape):
+            step = np.zeros_like(v)
+            step[idx] = h
+            up, down = vector_model_value(f, v + step), vector_model_value(f, v - step)
+            fd[idx] = (up - down) / (2 * h)
+        assert np.allclose(_vector_gradient(f, v), fd, rtol=0, atol=1e-5)
+
+
 class TestRealize:
     @settings(max_examples=40, deadline=None)
     @given(case=vector_configurations())
@@ -505,3 +531,10 @@ class TestRealize:
         f = build_functional(Kind.CHAINED, 2, 1)
         with pytest.raises(ZeroNorm):
             realize(f, np.array([[[1.0, 0.0], [1.0, 0.0]]]))
+
+    def test_vanishing_sum_names_its_party(self):
+        # Term 1 of bilocal is A_0 - A_1: it vanishes on party 1 only.
+        f = build_functional(Kind.BILOCAL, 2, 2)
+        v = np.array([np.eye(2), [[1.0, 0.0], [1.0, 0.0]]])
+        with pytest.raises(ZeroNorm, match="edge party 1 vanishes"):
+            realize(f, v)
