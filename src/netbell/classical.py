@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
 from .functionals import LINEAR, Functional, build_sign_table, combine
+from .tolerances import WEIGHT_SUM
 
 # Rows x terms of one orbit sweep, the work of an enumeration.
 SEARCH_SPACE_GUARD = 2**26
@@ -47,7 +48,8 @@ class HiddenVariableModel:
     x setting), and the central party answers via a joint table over all
     source variables, shape (s_1, ..., s_n, terms). Source independence is
     built in: the joint distribution is the product of the per-source
-    weights."""
+    weights. ``random_model(..., size=B)`` gives every array a leading
+    batch axis of B models."""
 
     weights: tuple[np.ndarray, ...]
     edge_responses: tuple[np.ndarray, ...]
@@ -176,7 +178,9 @@ def _mixture_terms(
 
 
 def eval_model(f: Functional, model: HiddenVariableModel) -> float:
-    """Functional value of a finite n-local mixture."""
+    """Functional value of a finite n-local mixture, checked as
+    ``eval_strategy`` checks a strategy: +1/-1 responses, and per source
+    nonnegative weights summing to 1 within ``WEIGHT_SUM``."""
     parties = f.parties
     if len(model.weights) != parties or len(model.edge_responses) != parties:
         raise ShapeMismatch(f"model must carry {parties} sources")
@@ -186,6 +190,11 @@ def eval_model(f: Functional, model: HiddenVariableModel) -> float:
     for k in range(parties):
         if responses[k].shape != (weights[k].shape[0], f.m):
             raise ShapeMismatch(f"edge response table {k} must be support x {f.m}")
+        _check_pm_one(responses[k], "edge response")
+        if np.any(weights[k] < 0):
+            raise NegativeEntry(f"weights of source {k} must be nonnegative")
+        if not abs(weights[k].sum() - 1.0) <= WEIGHT_SUM:
+            raise OutOfRange(f"weights of source {k} must sum to 1")
 
     central = np.asarray(model.central_responses, dtype=float)
     expected = tuple(w.shape[0] for w in weights)
@@ -193,6 +202,7 @@ def eval_model(f: Functional, model: HiddenVariableModel) -> float:
         raise ShapeMismatch(
             f"central table must have shape {expected + (f.n_terms,)}"
         )
+    _check_pm_one(central, "central response")
 
     per_term = _mixture_terms(
         f, [w[None] for w in weights], [r[None] for r in responses], central[None]
@@ -201,21 +211,38 @@ def eval_model(f: Functional, model: HiddenVariableModel) -> float:
 
 
 def random_model(
-    f: Functional, support_size: int, rng: np.random.Generator
+    f: Functional, support_size: int, rng: np.random.Generator, size: int | None = None
 ) -> HiddenVariableModel:
-    """Random n-local mixture: Dirichlet-uniform weights per source and
-    uniform +1/-1 response tables."""
+    """Random n-local mixture read from one row of ``rng.random``: each
+    source's weight cuts, then the edge bits, then the central bits. The
+    weights are the spacings of the sorted cuts, exactly Dirichlet(1, ..., 1);
+    a response is -1 where its uniform is below 0.5 and +1 otherwise.
+    ``size`` follows numpy: ``None`` draws one model, ``B`` draws B models
+    with a leading batch axis, equal bit for bit to B draws of one model."""
     if support_size < 1:
         raise OutOfRange(f"support size must be at least 1, got {support_size}")
-    parties = f.parties
-    s = int(support_size)
-    weights = tuple(rng.dirichlet(np.ones(s)) for _ in range(parties))
-    edge = tuple(
-        2.0 * rng.integers(0, 2, size=(s, f.m)) - 1.0 for _ in range(parties)
+    parties, s = f.parties, int(support_size)
+    cuts, bits = parties * (s - 1), parties * s * f.m
+    u = rng.random((1 if size is None else size, cuts + bits + s**parties * f.n_terms))
+    sorted_cuts = np.sort(u[:, :cuts].reshape(len(u), parties, s - 1))
+    spacings = np.diff(sorted_cuts, prepend=0.0, append=1.0)
+    signs = np.where(u[:, cuts:] < 0.5, -1.0, 1.0)
+    edge = signs[:, :bits].reshape(len(u), parties, s, f.m)
+    central = signs[:, bits:].reshape((len(u),) + (s,) * parties + (f.n_terms,))
+    model = HiddenVariableModel(
+        weights=tuple(spacings[:, k].copy() for k in range(parties)),
+        edge_responses=tuple(edge[:, k].copy() for k in range(parties)),
+        central_responses=np.ascontiguousarray(central),
     )
-    central = 2.0 * rng.integers(0, 2, size=(s,) * parties + (f.n_terms,)) - 1.0
+    return model if size is not None else _row(model, 0)
+
+
+def _row(model: HiddenVariableModel, i: int) -> HiddenVariableModel:
+    """Model i of a batch, as its own arrays."""
     return HiddenVariableModel(
-        weights=weights, edge_responses=edge, central_responses=central
+        weights=tuple(w[i].copy() for w in model.weights),
+        edge_responses=tuple(r[i].copy() for r in model.edge_responses),
+        central_responses=model.central_responses[i].copy(),
     )
 
 
@@ -224,49 +251,37 @@ def sample_nlocal_value(
 ) -> float:
     """Maximum functional value over randomly drawn n-local mixtures.
 
-    Reproducible: trial t uses the t-th child of ``SeedSequence(seed)``, so
-    the result does not depend on evaluation order. Models are drawn one
-    per trial, exactly as ``random_model`` draws them, and evaluated by
-    ``_mixture_terms`` in chunks whose central tables hold at most
-    ``_CHUNK`` entries together, so memory does not grow with ``trials``.
-    One ``combine`` call per chunk gives every trial's value, and the
-    returned value is ``eval_model`` of the first maximizer. Each batched
-    row equals the one-model ``_mixture_terms`` row bit for bit, and
-    ``combine`` reduces each row of a batch as it reduces that row alone
-    (tests check both for every kind), so the result is the maximum of
-    ``eval_model`` over the trials one by one.
+    Model t is the t-th ``random_model`` draw from one
+    ``np.random.default_rng(seed)`` stream, so the result is the maximum of
+    ``eval_model`` over the first ``trials`` models, whatever the chunk
+    size. A chunk is one ``random_model(..., size=B)`` of at most
+    ``_CHUNK`` uniforms, one ``_mixture_terms`` and one ``combine``, whose
+    rows equal one-model rows bit for bit (tests check every kind).
     Raises ``SearchSpaceTooLarge`` before any draw when one central table
     would exceed ``MIXTURE_GUARD`` entries or the model would have more
     than ``_MAX_MIXTURE_SOURCES`` sources.
     """
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
-    parties = f.parties
-    table = support_size**parties * f.n_terms
+    parties, s = f.parties, int(support_size)
+    table = s**parties * f.n_terms
     if table > MIXTURE_GUARD or parties > _MAX_MIXTURE_SOURCES:
         raise SearchSpaceTooLarge(
-            f"mixture over {parties} sources of support {support_size} needs "
+            f"mixture over {parties} sources of support {s} needs "
             f"{table} central table entries; limits are {MIXTURE_GUARD} entries "
             f"and {_MAX_MIXTURE_SOURCES} sources"
         )
-    children = np.random.SeedSequence(seed).spawn(trials)
-    chunk = max(1, _CHUNK // max(table, 1))
+    # A model's row: weight cuts, edge bits and central bits.
+    chunk = max(1, _CHUNK // max(parties * (s - 1) + parties * s * f.m + table, 1))
+    rng = np.random.default_rng(seed)
     best_value, best_model = -np.inf, None
     for start in range(0, trials, chunk):
-        models = [
-            random_model(f, support_size, np.random.default_rng(child))
-            for child in children[start : start + chunk]
-        ]
-        terms = _mixture_terms(
-            f,
-            [np.stack([mo.weights[k] for mo in models]) for k in range(parties)],
-            [np.stack([mo.edge_responses[k] for mo in models]) for k in range(parties)],
-            np.stack([mo.central_responses for mo in models]),
-        )
-        values = combine(f, terms)
+        batch = random_model(f, s, rng, size=min(chunk, trials - start))
+        w, r, c = batch.weights, batch.edge_responses, batch.central_responses
+        values = combine(f, _mixture_terms(f, w, r, c))
         arg = int(np.argmax(values))
         if values[arg] > best_value:
-            best_value, best_model = values[arg], models[arg]
+            best_value, best_model = values[arg], _row(batch, arg)
     return eval_model(f, best_model)
 
 

@@ -82,8 +82,10 @@ class Functional:
     ``coefficients`` is the read-only (parties, T, m) float array of the
     term signs, ``coefficients[k, i, x]`` the sign of setting x of edge
     party k in term i; every evaluator reads it. Construction raises
-    ``InvalidScenario`` for a term that does not own its input, or for a
-    table that is ragged or whose party count disagrees with the kind.
+    ``InvalidScenario`` for a combiner other than the kind's (``linear``
+    for bipartite kinds, ``root_sum`` otherwise), an empty term table, a
+    term that does not own its input, or a table that is ragged or whose
+    party count disagrees with the kind.
     """
 
     kind: Kind
@@ -94,6 +96,13 @@ class Functional:
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        combiner = LINEAR if self.kind in BIPARTITE_KINDS else ROOT_SUM
+        if self.combiner != combiner:
+            raise InvalidScenario(
+                f"{self.kind.value} combines with {combiner!r}, got {self.combiner!r}"
+            )
+        if not self.terms:
+            raise InvalidScenario("a functional needs at least one term")
         for i, t in enumerate(self.terms):
             if t.central_input != i:
                 raise InvalidScenario(

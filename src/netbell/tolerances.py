@@ -19,6 +19,9 @@ UNIT_NORM = 1e-12
 # Trace-one check for density matrices.
 TRACE_ONE = 1e-12
 
+# Sum-to-one check for the weights of one hidden-variable source.
+WEIGHT_SUM = 1e-12
+
 # Largest imaginary residue silently discarded from a real expectation.
 IMAG_DISCARD = 1e-10
 

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell import classical
 from netbell.classical import (
     DeterministicStrategy,
+    HiddenVariableModel,
     enumerate_deterministic_max,
     eval_model,
     eval_strategy,
@@ -13,7 +16,7 @@ from netbell.classical import (
     root_sum_lemma_check,
     sample_nlocal_value,
 )
-from netbell.errors import NegativeEntry, SearchSpaceTooLarge, ShapeMismatch
+from netbell.errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
 from netbell.functionals import (
     LINEAR,
     Kind,
@@ -187,11 +190,10 @@ ALL_KINDS = [
 
 
 def loop_sample(f, trials, support_size, seed):
-    """Reference: one eval_model per trial, on the trial's own seed child."""
-    return max(
-        eval_model(f, random_model(f, support_size, np.random.default_rng(c)))
-        for c in np.random.SeedSequence(seed).spawn(trials)
-    )
+    """Reference: one eval_model per trial, models drawn one at a time from
+    one default_rng(seed) stream."""
+    rng = np.random.default_rng(seed)
+    return max(eval_model(f, random_model(f, support_size, rng)) for _ in range(trials))
 
 
 def assert_batched_rows_exact(f, support, count, seed):
@@ -234,15 +236,54 @@ class TestBatchedSampling:
         assert_batched_rows_exact(BILOCAL, 3, 2000, seed=6)
 
     def test_every_trial_count(self, monkeypatch):
-        # Chunks of 32 // (4 * 2) = 4 models: the counts 1..30 end on a last
-        # chunk of every possible length.
-        monkeypatch.setattr(classical, "_CHUNK", 32)
-        values = [
-            eval_model(BILOCAL, random_model(BILOCAL, 2, np.random.default_rng(c)))
-            for c in np.random.SeedSequence(3).spawn(30)
-        ]
-        for trials in range(1, 31):
-            assert sample_nlocal_value(BILOCAL, trials, 2, seed=3) == max(values[:trials])
+        # A bilocal support-2 model reads 2 + 8 + 8 = 18 uniforms, so chunks
+        # hold 32 // 18 = 1 and 126 // 18 = 7 models: the counts 1..30 end
+        # on a last chunk of every possible length, and each equals the
+        # maximum over the same prefix of the one-model stream.
+        rng = np.random.default_rng(3)
+        values = [eval_model(BILOCAL, random_model(BILOCAL, 2, rng)) for _ in range(30)]
+        for chunk in (32, 126):
+            monkeypatch.setattr(classical, "_CHUNK", chunk)
+            for trials in range(1, 31):
+                assert sample_nlocal_value(BILOCAL, trials, 2, seed=3) == max(values[:trials])
+
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
+    def test_value_independent_of_chunk_size(self, f, monkeypatch):
+        # Chunks of 16 to 227 models: 700 trials cross several boundaries.
+        values = []
+        for chunk in (1 << 9, 1 << 11):
+            monkeypatch.setattr(classical, "_CHUNK", chunk)
+            values.append(sample_nlocal_value(f, 700, 2, seed=8))
+        assert values[0] == values[1] == loop_sample(f, 700, 2, 8)
+
+
+class TestRandomModel:
+    @pytest.mark.parametrize("support", [1, 2, 3])
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
+    def test_batch_equals_single_draws(self, f, support):
+        batch_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+        batch = random_model(f, support, batch_rng, size=5)
+        for i in range(5):
+            one = random_model(f, support, rng)
+            for k in range(f.parties):
+                assert np.array_equal(batch.weights[k][i], one.weights[k])
+                assert np.array_equal(batch.edge_responses[k][i], one.edge_responses[k])
+            assert np.array_equal(batch.central_responses[i], one.central_responses)
+        # Both read the same stretch of the stream.
+        assert batch_rng.random() == rng.random()
+
+    @pytest.mark.parametrize("support", [1, 2, 3])
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
+    def test_weights_are_distributions_and_responses_are_signs(self, f, support):
+        model = random_model(f, support, np.random.default_rng(9), size=200)
+        assert len(model.weights) == len(model.edge_responses) == f.parties
+        for w, r in zip(model.weights, model.edge_responses):
+            assert w.shape == (200, support) and r.shape == (200, support, f.m)
+            assert np.all(w >= 0)
+            assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all(np.abs(r) == 1)
+        assert model.central_responses.shape == (200,) + (support,) * f.parties + (f.n_terms,)
+        assert np.all(np.abs(model.central_responses) == 1)
 
 
 class TestSampling:
@@ -263,12 +304,62 @@ class TestSampling:
         b = sample_nlocal_value(XI32, trials=50, support_size=3, seed=9)
         assert a == b
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        f=st.sampled_from(ALL_KINDS),
+        support=st.integers(1, 3),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_never_exceeds_enumeration(self, f, support, trials, seed):
+        best = sample_nlocal_value(f, trials, support, seed)
+        assert best <= enumerate_deterministic_max(f)[0] + 1e-12
+
     def test_never_exceeds_deterministic_max(self):
         rng = np.random.default_rng(21)
         for f in (CHSH, BILOCAL, XI32):
             det_max, _ = enumerate_deterministic_max(f)
             for _ in range(100):
                 assert eval_model(f, random_model(f, 3, rng)) <= det_max + 1e-12
+
+
+def _bilocal_model(**change):
+    """A valid bilocal support-2 model with some fields replaced."""
+    fields = dict(
+        weights=(np.array([0.25, 0.75]), np.array([0.5, 0.5])),
+        edge_responses=(np.ones((2, 2)), -np.ones((2, 2))),
+        central_responses=np.ones((2, 2, 2)),
+    )
+    return HiddenVariableModel(**{**fields, **change})
+
+
+class TestEvalModelChecks:
+    def test_valid_model(self):
+        assert eval_model(BILOCAL, _bilocal_model()) == 2.0
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"edge_responses": (np.ones((2, 2)), np.array([[1.0, 0.5], [1.0, 1.0]]))},
+            {"edge_responses": (np.zeros((2, 2)), np.ones((2, 2)))},
+            {"central_responses": np.full((2, 2, 2), 2.0)},
+        ],
+        ids=["edge-half", "edge-zero", "central-two"],
+    )
+    def test_responses_must_be_signs(self, change):
+        with pytest.raises(ShapeMismatch, match="must be \\+1 or -1"):
+            eval_model(BILOCAL, _bilocal_model(**change))
+
+    def test_negative_weight(self):
+        model = _bilocal_model(weights=(np.array([1.5, -0.5]), np.array([0.5, 0.5])))
+        with pytest.raises(NegativeEntry, match="source 0"):
+            eval_model(BILOCAL, model)
+
+    @pytest.mark.parametrize("second", [[0.5, 0.6], [0.3, 0.3], [0.5, 0.5 + 1e-9]])
+    def test_weights_must_sum_to_one(self, second):
+        model = _bilocal_model(weights=(np.array([0.25, 0.75]), np.array(second)))
+        with pytest.raises(OutOfRange, match="source 1"):
+            eval_model(BILOCAL, model)
 
 
 class TestRootSumLemma:

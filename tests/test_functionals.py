@@ -321,6 +321,22 @@ class TestCoefficients:
         with pytest.raises(InvalidScenario, match="sign rows"):
             serialize.functional_from_json(data)
 
+    @pytest.mark.parametrize(
+        "kind,m,n,key,value,match",
+        [
+            (Kind.CHSH, 2, 1, "combiner", "bogus", "'linear', got 'bogus'"),
+            (Kind.CHSH, 2, 1, "combiner", "root_sum", "'linear', got 'root_sum'"),
+            (Kind.BILOCAL, 2, 2, "combiner", "linear", "'root_sum', got 'linear'"),
+            (Kind.XI, 3, 2, "terms", [], "at least one term"),
+        ],
+        ids=["unknown-combiner", "chsh-root-sum", "bilocal-linear", "no-terms"],
+    )
+    def test_json_refuses_wrong_combiner_or_no_terms(self, kind, m, n, key, value, match):
+        data = serialize.functional_to_json(build_functional(kind, m, n))
+        data[key] = value
+        with pytest.raises(InvalidScenario, match=match):
+            serialize.functional_from_json(data)
+
     def test_bipartite_table_has_one_party(self):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         _extra_party_in_every_term(data)
