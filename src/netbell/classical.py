@@ -124,7 +124,7 @@ def enumerate_deterministic_max(
         )
 
     # Negated sign-table rows: first response -1, lexicographic, -1 < +1.
-    signs = -np.array(build_sign_table(f.m).rows, dtype=float)
+    signs = -np.array(build_sign_table(f.m), dtype=float)
     per_party = signs @ np.swapaxes(f.coefficients, 1, 2)
 
     shape = (half,) * parties

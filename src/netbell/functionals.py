@@ -1,5 +1,6 @@
-"""Declarative descriptions and evaluators of the supported Bell and
-network functionals, plus their closed-form classical and quantum bounds.
+"""The supported Bell and network functionals, each fixed by its
+(kind, m, n), their evaluators, and their closed-form classical and
+quantum bounds.
 
 Seven kinds are supported. ``chsh``, ``chained`` and ``gm`` are bipartite
 (one edge party, n = 1, linear combiner). ``bilocal``, ``star``, ``delta``
@@ -22,6 +23,7 @@ from .errors import (
     InvalidScenario,
     MissingObservable,
     OutOfRange,
+    SearchSpaceTooLarge,
 )
 from .qcore import as_matrix, expectation, tensor_all
 from .states import Observable, QuantumState
@@ -44,83 +46,79 @@ LINEAR = "linear"
 ROOT_SUM = "root_sum"
 
 
-@dataclass(frozen=True)
-class SignTable:
+# Entries parties x T x m of the largest term table a functional builds.
+TABLE_BUDGET = 2**20
+
+
+def build_sign_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Sign rows (-1)^(bit) for the 2^(m-1) length-m bit strings whose
-    first bit is zero; row i corresponds to the integer i-1 spelled out
-    on bits 2..m, most significant first."""
-
-    m: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-def build_sign_table(m: int) -> SignTable:
-    """Deterministic sign table for m settings; rows ordered by binary value."""
+    first bit is zero, ordered by binary value: row i spells i-1 on bits
+    2..m, most significant first. Raises ``OutOfRange`` outside 2..16."""
     if not 2 <= m <= 16:
         raise OutOfRange(f"m must be in 2..16, got {m}")
     # product yields bits 2..m most significant first, +1 (bit 0) first.
-    rows = tuple((1, *r) for r in itertools.product((1, -1), repeat=m - 1))
-    return SignTable(m=m, rows=rows)
+    return tuple((1, *r) for r in itertools.product((1, -1), repeat=m - 1))
 
 
-@dataclass(frozen=True)
-class TermSpec:
-    """One correlator term: signed observable subsets per edge party and
-    the central-party input it multiplies. Term i of a ``Functional``
-    multiplies central input i (``Functional`` checks this)."""
-
-    signs: tuple[tuple[int, ...], ...]
-    central_input: int
+def _chained_signs(m: int) -> list[tuple[int, ...]]:
+    # Cyclic pairs (A_i + A_{i+1}) with the wrap term (A_m - A_1).
+    rows = [tuple(int(j in (i, i + 1)) for j in range(m)) for i in range(m - 1)]
+    return rows + [(-1,) + (0,) * (m - 2) + (1,)]
 
 
 @dataclass(frozen=True)
 class Functional:
-    """Term table plus combiner describing one Bell/network inequality.
+    """One Bell/network inequality, fixed by its (kind, m, n).
 
-    Each term owns its central input: term i multiplies the central
-    party's observable B_i, so there is one central input per term.
-    ``coefficients`` is the read-only (parties, T, m) float array of the
-    term signs, ``coefficients[k, i, x]`` the sign of setting x of edge
-    party k in term i; every evaluator reads it. Construction raises
-    ``InvalidScenario`` for a combiner other than the kind's (``linear``
-    for bipartite kinds, ``root_sum`` otherwise), an empty term table, a
-    term that does not own its input, or a table that is ragged or whose
-    party count disagrees with the kind.
+    Term i multiplies the central party's observable B_i, one central
+    input per term. Every edge party carries the same term rows: the
+    sign table of ``build_sign_table(m)`` for chsh, gm, bilocal, star
+    and delta, the cyclic pairs for chained and xi. ``coefficients`` is
+    the read-only (parties, T, m) float array of those signs,
+    ``coefficients[k, i, x]`` the sign of setting x of edge party k in
+    term i; every evaluator reads it. Construction raises
+    ``InvalidScenario`` for a (kind, m, n) that defines no functional,
+    ``OutOfRange`` for a sign-table m outside 2..16, and
+    ``SearchSpaceTooLarge`` before building a table of more than
+    ``TABLE_BUDGET`` entries.
     """
 
     kind: Kind
     m: int
     n: int
-    combiner: str
-    terms: tuple[TermSpec, ...]
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        combiner = LINEAR if self.kind in BIPARTITE_KINDS else ROOT_SUM
-        if self.combiner != combiner:
-            raise InvalidScenario(
-                f"{self.kind.value} combines with {combiner!r}, got {self.combiner!r}"
-            )
-        if not self.terms:
-            raise InvalidScenario("a functional needs at least one term")
-        for i, t in enumerate(self.terms):
-            if t.central_input != i:
-                raise InvalidScenario(
-                    f"term {i} uses central input {t.central_input}; "
-                    f"term i must use central input i"
-                )
-            if len(t.signs) != self.parties or any(len(row) != self.m for row in t.signs):
-                raise InvalidScenario(
-                    f"term {i} must carry {self.parties} sign rows of length {self.m}"
-                )
-        table = np.array([t.signs for t in self.terms], dtype=float)
-        table = table.reshape(len(self.terms), self.parties, self.m).transpose(1, 0, 2).copy()
+        kind, m, n = self.kind, self.m, self.n
+        if kind in BIPARTITE_KINDS and n != 1:
+            raise InvalidScenario(f"{kind.value} is bipartite; n must be 1, got {n}")
+        if kind is Kind.BILOCAL and n != 2:
+            raise InvalidScenario(f"bilocal means two sources, got n={n}")
+        if kind in NETWORK_KINDS and n < 1:
+            raise InvalidScenario(f"need at least one source, got n={n}")
+        if kind in (Kind.CHSH, Kind.BILOCAL, Kind.STAR) and m != 2:
+            raise InvalidScenario(f"{kind.value} has two settings per edge party, got m={m}")
+        if m < 2:
+            raise InvalidScenario(f"m must be at least 2, got {m}")
+        cyclic = kind in (Kind.CHAINED, Kind.XI)
+        rows = None if cyclic else build_sign_table(m)
+        n_terms = m if cyclic else len(rows)
+        if self.parties * n_terms * m > TABLE_BUDGET:
+            raise SearchSpaceTooLarge(f"term table of {self.parties} x {n_terms} x {m} "
+                                      f"entries exceeds {TABLE_BUDGET}")
+        rows = np.array(_chained_signs(m) if cyclic else rows, dtype=float)
+        table = np.broadcast_to(rows, (self.parties,) + rows.shape).copy()
         table.setflags(write=False)
         object.__setattr__(self, "coefficients", table)
 
     @property
+    def combiner(self) -> str:
+        """``linear`` for bipartite kinds, ``root_sum`` otherwise."""
+        return LINEAR if self.kind in BIPARTITE_KINDS else ROOT_SUM
+
+    @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return self.coefficients.shape[1]
 
     @property
     def parties(self) -> int:
@@ -138,13 +136,6 @@ class Functional:
 
 
 @dataclass(frozen=True)
-class CorrelatorSet:
-    """One real correlator value per term."""
-
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ObservableAssignment:
     """Full measurement assignment: m observables per edge party and one
     central observable per central input."""
@@ -153,38 +144,9 @@ class ObservableAssignment:
     central: tuple[Observable, ...]
 
 
-def _chained_signs(m: int) -> list[tuple[int, ...]]:
-    # Cyclic pairs (A_i + A_{i+1}) with the wrap term (A_m - A_1).
-    rows = [tuple(int(j in (i, i + 1)) for j in range(m)) for i in range(m - 1)]
-    return rows + [(-1,) + (0,) * (m - 2) + (1,)]
-
-
 def build_functional(kind: Kind | str, m: int, n: int = 1) -> Functional:
-    """Fully populated term table for a (kind, m, n) scenario; idempotent."""
-    kind = Kind(kind)
-    if kind in BIPARTITE_KINDS and n != 1:
-        raise InvalidScenario(f"{kind.value} is bipartite; n must be 1, got {n}")
-    if kind is Kind.BILOCAL and n != 2:
-        raise InvalidScenario(f"bilocal means two sources, got n={n}")
-    if kind in NETWORK_KINDS and n < 1:
-        raise InvalidScenario(f"need at least one source, got n={n}")
-    if kind in (Kind.CHSH, Kind.BILOCAL, Kind.STAR) and m != 2:
-        raise InvalidScenario(f"{kind.value} has two settings per edge party, got m={m}")
-    if m < 2:
-        raise InvalidScenario(f"m must be at least 2, got {m}")
-
-    if kind in (Kind.CHSH, Kind.BILOCAL, Kind.STAR, Kind.GM, Kind.DELTA):
-        rows = build_sign_table(m).rows
-    else:
-        rows = _chained_signs(m)
-
-    # n is 1 for the bipartite kinds (checked above), so it counts the parties.
-    terms = tuple(
-        TermSpec(signs=tuple([row] * n), central_input=i)
-        for i, row in enumerate(rows)
-    )
-    combiner = LINEAR if kind in BIPARTITE_KINDS else ROOT_SUM
-    return Functional(kind=kind, m=m, n=n, combiner=combiner, terms=terms)
+    """The functional of a (kind, m, n) scenario; idempotent."""
+    return Functional(Kind(kind), m, n)
 
 
 def _roots(values: np.ndarray, n: int) -> np.ndarray:
@@ -273,15 +235,14 @@ def eval_functional(
     f: Functional,
     state: QuantumState,
     observables: ObservableAssignment,
-) -> tuple[float, CorrelatorSet]:
-    """Functional value and per-term correlators for a full assignment."""
+) -> tuple[float, tuple[float, ...]]:
+    """Functional value and the tuple of per-term correlators of a full assignment."""
     sums = assignment_sums(f, state, observables)
     values = [
         eval_correlator(state, [s[i] for s in sums], central)
         for i, central in enumerate(observables.central)
     ]
-    correlators = CorrelatorSet(values=tuple(values))
-    return combine(f, values), correlators
+    return combine(f, values), tuple(values)
 
 
 def sign_family_classical_bound(m: int) -> int:

@@ -14,7 +14,8 @@ from typing import Any
 import numpy as np
 
 from .classical import DeterministicStrategy
-from .functionals import Functional, Kind, ObservableAssignment, TermSpec
+from .errors import InvalidScenario
+from .functionals import Functional, Kind, ObservableAssignment
 from .states import Observable, QuantumState
 
 
@@ -76,36 +77,39 @@ def observable_from_json(obj: dict, path: str = "observable") -> Observable:
 
 
 def functional_to_json(f: Functional) -> dict:
+    signs = f.coefficients.astype(int).transpose(1, 0, 2).tolist()
     return {
         "kind": f.kind.value,
         "m": f.m,
         "n": f.n,
         "combiner": f.combiner,
-        "terms": [
-            {"signs": [list(row) for row in t.signs], "central_input": t.central_input}
-            for t in f.terms
-        ],
+        "terms": [{"signs": s, "central_input": i} for i, s in enumerate(signs)],
     }
 
 
+def _integer(obj: dict, key: str, path: str) -> int:
+    value = _field(obj, key, path)
+    if type(value) is not int:
+        raise InvalidScenario(f"{path}.{key}: must be an integer, got {value!r}")
+    return value
+
+
 def functional_from_json(obj: dict, path: str = "functional") -> Functional:
-    terms = tuple(
-        TermSpec(
-            signs=tuple(
-                tuple(int(c) for c in row)
-                for row in _field(t, "signs", f"{path}.terms[{i}]")
-            ),
-            central_input=int(_field(t, "central_input", f"{path}.terms[{i}]")),
-        )
-        for i, t in enumerate(_field(obj, "terms", path))
+    """The functional of the document's kind, m and n. Its ``combiner``
+    and ``terms`` must be the JSON that functional writes (a ``true`` or
+    ``1.0`` for a sign 1 differs); the first that differs is refused with
+    ``InvalidScenario`` naming the field."""
+    f = Functional(
+        Kind(_field(obj, "kind", path)),
+        _integer(obj, "m", path),
+        _integer(obj, "n", path),
     )
-    return Functional(
-        kind=Kind(_field(obj, "kind", path)),
-        m=int(_field(obj, "m", path)),
-        n=int(_field(obj, "n", path)),
-        combiner=_field(obj, "combiner", path),
-        terms=terms,
-    )
+    expected = functional_to_json(f)
+    for key in ("combiner", "terms"):
+        if dumps(_field(obj, key, path)) != dumps(expected[key]):
+            raise InvalidScenario(f"{path}.{key}: does not match {f.kind.value} "
+                                  f"with m={f.m}, n={f.n}")
+    return f
 
 
 def assignment_to_json(assignment: ObservableAssignment) -> dict:

@@ -291,12 +291,12 @@ def dense_certificate(f, state, assignment):
     dims = state.subsystem_dims
     psi = state.data
     omegas, weights, residuals, correlators, gamma = [], [], [], [], 0
-    for i, term in enumerate(f.terms):
+    for i in range(f.n_terms):
         edge = [f.signed_sums(k, [o.matrix for o in row])[i]
                 for k, row in enumerate(assignment.edge)]
         t_edge = tensor_all(edge + [np.eye(dims[-1])])
         b_full = tensor_all([np.eye(d) for d in dims[:-1]]
-                            + [assignment.central[term.central_input].matrix])
+                            + [assignment.central[i].matrix])
         omega = np.linalg.norm(t_edge @ psi)
         value_i = np.vdot(psi, b_full @ t_edge @ psi).real
         if f.combiner == LINEAR:
@@ -340,7 +340,7 @@ class TestCertificateMatchesDense:
     @pytest.mark.parametrize("kind,m,n", ALL_KINDS)
     def test_random_complex_assignments(self, kind, m, n):
         f = build_functional(kind, m, n)
-        rng = np.random.default_rng(len(f.terms) + 10 * n)
+        rng = np.random.default_rng(f.n_terms + 10 * n)
         for _ in range(4):
             assert_matches_dense(f, *random_assignment(f, rng))
 

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -262,6 +263,25 @@ class TestBoundCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("guard:")
+
+    @pytest.mark.parametrize(
+        "expr,size", [("chained", ("--m", "100000")), ("star", ("--n", "100000000"))]
+    )
+    def test_term_table_guard_exit_3(self, capsys, expr, size):
+        # 10^10 and 4 * 10^8 table entries: refused before any is built.
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "bound", "--expr", expr, *size)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("guard: term table")
+
+    def test_sign_table_m_out_of_range_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--expr", "gm", "--m", "17")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid scenario: m must be in 2..16")
 
     def test_enumerate_gm6(self, capsys):
         # 32 rows x 32 terms: the sweep the guard measures, not the nominal

@@ -1,8 +1,10 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell import functionals as fn
 from netbell import serialize
@@ -11,6 +13,7 @@ from netbell.errors import (
     InvalidScenario,
     MissingObservable,
     OutOfRange,
+    SearchSpaceTooLarge,
 )
 from netbell.functionals import (
     Kind,
@@ -46,20 +49,20 @@ def diag_obs():
 
 class TestSignTable:
     def test_m2_rows(self):
-        assert build_sign_table(2).rows == ((1, 1), (1, -1))
+        assert build_sign_table(2) == ((1, 1), (1, -1))
 
     def test_m3_first_row_all_plus(self):
-        table = build_sign_table(3)
-        assert len(table.rows) == 4
-        assert table.rows[0] == (1, 1, 1)
+        rows = build_sign_table(3)
+        assert len(rows) == 4
+        assert rows[0] == (1, 1, 1)
 
     def test_m3_row4_binary_order(self):
         # Row 4 encodes the bit string 011 (integer 3 on the trailing bits).
-        assert build_sign_table(3).rows[3] == (1, -1, -1)
+        assert build_sign_table(3)[3] == (1, -1, -1)
 
     def test_rows_distinct_and_first_entry_plus(self):
         for m in (2, 3, 4, 5):
-            rows = build_sign_table(m).rows
+            rows = build_sign_table(m)
             assert len(set(rows)) == len(rows) == 2 ** (m - 1)
             assert all(r[0] == 1 for r in rows)
 
@@ -74,21 +77,25 @@ class TestBuildFunctional:
     def test_chsh_terms(self):
         f = build_functional(Kind.CHSH, 2, 1)
         assert f.combiner == fn.LINEAR
-        assert [t.signs for t in f.terms] == [((1, 1),), ((1, -1),)]
-        assert [t.central_input for t in f.terms] == [0, 1]
+        assert [f.coefficients[:, i].tolist() for i in range(f.n_terms)] == [
+            [[1, 1]],
+            [[1, -1]],
+        ]
 
     def test_xi_3_2_terms(self):
         f = build_functional(Kind.XI, 3, 2)
         assert f.combiner == fn.ROOT_SUM and f.n == 2
         expected = [(1, 1, 0), (0, 1, 1), (-1, 0, 1)]
-        for term, row in zip(f.terms, expected):
-            assert term.signs == (row, row)
+        assert f.n_terms == len(expected)
+        for i, row in enumerate(expected):
+            assert f.coefficients[:, i].tolist() == [list(row), list(row)]
 
     def test_delta_m2_matches_star(self):
         for n in (2, 3):
-            assert build_functional(Kind.DELTA, 2, n).terms == build_functional(
-                Kind.STAR, 2, n
-            ).terms
+            assert np.array_equal(
+                build_functional(Kind.DELTA, 2, n).coefficients,
+                build_functional(Kind.STAR, 2, n).coefficients,
+            )
 
     def test_idempotent(self):
         assert build_functional("chained", 4) == build_functional("chained", 4)
@@ -103,20 +110,33 @@ class TestBuildFunctional:
         with pytest.raises(InvalidScenario):
             build_functional(Kind.STAR, 3, 2)
 
-    def test_term_must_own_its_central_input(self):
-        # gm m=3 with every term on input 0 would let enumeration and the
-        # evaluators disagree (6.0 against 4.0 by brute force).
-        gm = build_functional(Kind.GM, 3, 1)
-        shared = tuple(dataclasses.replace(t, central_input=0) for t in gm.terms)
-        with pytest.raises(InvalidScenario, match="term 1"):
-            dataclasses.replace(gm, terms=shared)
-
     def test_json_with_swapped_central_inputs(self):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         for term, x in zip(data["terms"], (1, 0)):
             term["central_input"] = x
-        with pytest.raises(InvalidScenario, match="term 0"):
+        with pytest.raises(InvalidScenario, match="functional.terms"):
             serialize.functional_from_json(data)
+
+    @pytest.mark.parametrize(
+        "kind,m,n,size",
+        [(Kind.GM, 16, 1, 2**19), (Kind.DELTA, 16, 2, 2**20), (Kind.CHAINED, 1024, 1, 2**20)],
+    )
+    def test_table_within_budget_builds(self, kind, m, n, size):
+        assert build_functional(kind, m, n).coefficients.size == size
+
+    @pytest.mark.parametrize(
+        "kind,m,n",
+        [(Kind.DELTA, 16, 3), (Kind.CHAINED, 1025, 1), (Kind.XI, 2, 2**18 + 1)],
+    )
+    def test_table_over_budget_refused(self, kind, m, n):
+        with pytest.raises(SearchSpaceTooLarge, match=str(fn.TABLE_BUDGET)):
+            build_functional(kind, m, n)
+
+    def test_sign_table_range_checked_before_budget(self):
+        with pytest.raises(OutOfRange):
+            build_functional(Kind.GM, 17, 1)
+        with pytest.raises(OutOfRange):
+            build_functional(Kind.DELTA, 10**9, 10**9)
 
 
 class TestEvalCorrelator:
@@ -173,14 +193,14 @@ class TestEvalFunctional:
         f = build_functional(Kind.CHSH, 2, 1)
         value, correlators = eval_functional(f, PHI_PLUS, chsh_assignment())
         assert value == pytest.approx(2 * SQ2, abs=1e-12)
-        assert correlators.values == pytest.approx((SQ2, SQ2))
+        assert correlators == pytest.approx((SQ2, SQ2))
 
     def test_bilocal_optimum(self):
         f = build_functional(Kind.BILOCAL, 2, 2)
         psi = network_product_state([PHI_PLUS, PHI_PLUS])
         value, correlators = eval_functional(f, psi, bilocal_assignment())
         assert value == pytest.approx(2 * SQ2, abs=1e-12)
-        assert correlators.values == pytest.approx((2.0, 2.0))
+        assert correlators == pytest.approx((2.0, 2.0))
 
     def test_chsh_on_product_state(self):
         f = build_functional(Kind.CHSH, 2, 1)
@@ -205,10 +225,8 @@ class TestEvalFunctional:
         f = build_functional(Kind.BILOCAL, 2, 2)
         psi = network_product_state([PHI_PLUS, PHI_PLUS])
         _, correlators = eval_functional(f, psi, bilocal_assignment())
-        for term, value in zip(f.terms, correlators.values):
-            ceiling = 1.0
-            for row in term.signs:
-                ceiling *= sum(abs(c) for c in row)
+        for i, value in enumerate(correlators):
+            ceiling = np.prod(np.abs(f.coefficients[:, i]).sum(axis=1))
             assert abs(value) <= ceiling + 1e-12
 
     def test_missing_observable(self):
@@ -304,9 +322,9 @@ class TestCoefficients:
         c = f.coefficients
         assert c.shape == (f.parties, f.n_terms, m)
         assert c.dtype == float
-        for i, term in enumerate(f.terms):
-            for k in range(f.parties):
-                assert tuple(c[k, i]) == term.signs[k]
+        rows = fn._chained_signs(m) if kind in (Kind.CHAINED, Kind.XI) else build_sign_table(m)
+        for k in range(f.parties):
+            assert c[k].tolist() == [list(row) for row in rows]
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[0, 0, 0] = 2.0
@@ -318,16 +336,16 @@ class TestCoefficients:
     def test_json_refuses_ragged_or_missized_tables(self, mutate):
         data = serialize.functional_to_json(build_functional(Kind.XI, 3, 2))
         mutate(data)
-        with pytest.raises(InvalidScenario, match="sign rows"):
+        with pytest.raises(InvalidScenario, match="functional.terms"):
             serialize.functional_from_json(data)
 
     @pytest.mark.parametrize(
         "kind,m,n,key,value,match",
         [
-            (Kind.CHSH, 2, 1, "combiner", "bogus", "'linear', got 'bogus'"),
-            (Kind.CHSH, 2, 1, "combiner", "root_sum", "'linear', got 'root_sum'"),
-            (Kind.BILOCAL, 2, 2, "combiner", "linear", "'root_sum', got 'linear'"),
-            (Kind.XI, 3, 2, "terms", [], "at least one term"),
+            (Kind.CHSH, 2, 1, "combiner", "bogus", "functional.combiner"),
+            (Kind.CHSH, 2, 1, "combiner", "root_sum", "functional.combiner"),
+            (Kind.BILOCAL, 2, 2, "combiner", "linear", "functional.combiner"),
+            (Kind.XI, 3, 2, "terms", [], "functional.terms"),
         ],
         ids=["unknown-combiner", "chsh-root-sum", "bilocal-linear", "no-terms"],
     )
@@ -340,8 +358,77 @@ class TestCoefficients:
     def test_bipartite_table_has_one_party(self):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         _extra_party_in_every_term(data)
-        with pytest.raises(InvalidScenario, match="1 sign rows"):
+        with pytest.raises(InvalidScenario, match="functional.terms"):
             serialize.functional_from_json(data)
+
+
+GOLDEN_JSON = {
+    (Kind.CHSH, 2, 1): (
+        '{"combiner": "linear", "kind": "chsh", "m": 2, "n": 1, "terms": ['
+        '{"central_input": 0, "signs": [[1, 1]]}, '
+        '{"central_input": 1, "signs": [[1, -1]]}]}'
+    ),
+    (Kind.XI, 3, 2): (
+        '{"combiner": "root_sum", "kind": "xi", "m": 3, "n": 2, "terms": ['
+        '{"central_input": 0, "signs": [[1, 1, 0], [1, 1, 0]]}, '
+        '{"central_input": 1, "signs": [[0, 1, 1], [0, 1, 1]]}, '
+        '{"central_input": 2, "signs": [[-1, 0, 1], [-1, 0, 1]]}]}'
+    ),
+}
+
+
+@st.composite
+def admissible_functionals(draw):
+    kind = draw(st.sampled_from(list(Kind)))
+    m = 2 if kind in (Kind.CHSH, Kind.BILOCAL, Kind.STAR) else draw(st.integers(2, 6))
+    if kind in fn.BIPARTITE_KINDS:
+        n = 1
+    else:
+        n = 2 if kind is Kind.BILOCAL else draw(st.integers(1, 5))
+    return build_functional(kind, m, n)
+
+
+class TestJson:
+    @pytest.mark.parametrize("key", list(GOLDEN_JSON), ids=lambda k: k[0].value)
+    def test_golden_document(self, key):
+        doc = serialize.functional_to_json(build_functional(*key))
+        assert json.dumps(doc, sort_keys=True) == GOLDEN_JSON[key]
+
+    @pytest.mark.parametrize("field", ["m", "n"])
+    @pytest.mark.parametrize("value", [2.7, "3", True], ids=["float", "string", "bool"])
+    def test_non_integer_m_or_n_refused(self, field, value):
+        data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
+        data[field] = value
+        with pytest.raises(InvalidScenario, match=f"functional.{field}: must be an integer"):
+            serialize.functional_from_json(data)
+
+    @pytest.mark.parametrize("sign", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_sign_refused(self, sign):
+        data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
+        data["terms"][0]["signs"][0][0] = sign
+        with pytest.raises(InvalidScenario, match="functional.terms"):
+            serialize.functional_from_json(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=admissible_functionals(), data=st.data())
+    def test_round_trip_and_single_edits_refused(self, f, data):
+        doc = serialize.functional_to_json(f)
+        back = serialize.functional_from_json(json.loads(json.dumps(doc)))
+        assert back == f
+        assert np.array_equal(back.coefficients, f.coefficients)
+
+        flipped = json.loads(json.dumps(doc))
+        k, i, x = data.draw(st.sampled_from(np.argwhere(f.coefficients != 0).tolist()))
+        flipped["terms"][i]["signs"][k][x] *= -1
+        with pytest.raises(InvalidScenario, match="functional.terms"):
+            serialize.functional_from_json(flipped)
+
+        moved = json.loads(json.dumps(doc))
+        i = data.draw(st.integers(0, f.n_terms - 1))
+        shift = data.draw(st.integers(1, f.n_terms - 1))
+        moved["terms"][i]["central_input"] = (i + shift) % f.n_terms
+        with pytest.raises(InvalidScenario, match="functional.terms"):
+            serialize.functional_from_json(moved)
 
 
 class TestBounds:

@@ -268,7 +268,7 @@ class TestBatchedKernel:
     def test_correlators_and_steering_match_eval_functional(self, kind, m, n):
         f = build_functional(kind, m, n)
         dims = (2,) * f.parties + (2**f.parties,)
-        edge, central, psi = random_setting(f, dims, seed=len(f.terms) + n)
+        edge, central, psi = random_setting(f, dims, seed=f.n_terms + n)
         ops = _Workspace(f, dims).slot_ops(edge, central)
         assignment = as_assignment(edge, central)
         _, expected = eval_functional(f, QuantumState.pure(psi, dims), assignment)
@@ -278,13 +278,13 @@ class TestBatchedKernel:
             (_Workspace(f, dims), psi[:, None]),
             (_Workspace(f, dims), factor),
         ]
-        assert_kernel_matches(states, ops, expected.values)
+        assert_kernel_matches(states, ops, expected)
 
     @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
     def test_full_rank_density_matches_eval_functional(self, kind, m, n):
         f = build_functional(kind, m, n)
         dims = (2,) * f.parties + (2**f.parties,)
-        edge, central, _ = random_setting(f, dims, seed=len(f.terms) + 2 * n)
+        edge, central, _ = random_setting(f, dims, seed=f.n_terms + 2 * n)
         ops = _Workspace(f, dims).slot_ops(edge, central)
         total = int(np.prod(dims))
         g = np.random.default_rng(total).standard_normal((total, total, 2)) @ [1, 1j]
@@ -296,7 +296,7 @@ class TestBatchedKernel:
         factor = _state_factor(state)
         assert factor.shape == (total, total)
         states = [(_Workspace(f, dims), factor)]
-        assert_kernel_matches(states, ops, expected.values)
+        assert_kernel_matches(states, ops, expected)
 
     @pytest.mark.parametrize(
         "kind,m,n,ranks",
@@ -319,7 +319,7 @@ class TestBatchedKernel:
         ops = _Workspace(f, dims).slot_ops(edge, central)
         _, expected = eval_functional(f, state, as_assignment(edge, central))
         states = [(_Workspace(f, dims), factor)]
-        assert_kernel_matches(states, ops, expected.values)
+        assert_kernel_matches(states, ops, expected)
 
     @pytest.mark.parametrize(
         "dims,lanczos",
