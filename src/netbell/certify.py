@@ -44,10 +44,10 @@ from .functionals import (
 from .optimize import (
     TOTAL_DIMENSION_GUARD,
     SeesawConfig,
+    _extreme_eig,
     _Workspace,
     seesaw_optimize,
 )
-from .qcore import tensor_all
 from .states import (
     PAULIS,
     QuantumState,
@@ -128,8 +128,8 @@ def _root_sum_weight(omega: float, ratio: float, n: int) -> float:
 def sos_certificate(
     f: Functional, state: QuantumState, observables: ObservableAssignment
 ) -> SOSReport:
-    """Assemble the certificate operator for an assignment and report the
-    omega norms, residuals, gap, and its minimum eigenvalue.
+    """Report an assignment's omega norms, residuals, gap, and the minimum
+    eigenvalue of its certificate operator.
 
     T_i = (x)_k S_ik (x) I and B_i = I (x) C_i are Hermitian and act on
     different slots. The state side runs on the seesaw's batched slot
@@ -137,9 +137,11 @@ def sos_certificate(
     <B_i psi|T_i psi> are the correlators. On the operator side
     M_i^dag M_i = (x)_k S_ik^2 (x) I / omega_i^2
     - (2 s_i / omega_i) (x)_k S_ik (x) C_i + I (x) C_i^2,
-    and gamma is assembled from these three Kronecker pieces per term with
-    no dense M_i. Its minimum eigenvalue is an exact dense solve (on the
-    real part when gamma is real).
+    and gamma acts on a vector through three stacks on the same kernel, so
+    no D x D operator is built. Its minimum eigenvalue comes from the
+    seesaw's eigensolver: dense eigh of gamma(I) up to the dense limit,
+    Lanczos above it on gamma + (sum_i w_i) I from a fixed generic start.
+    Lanczos never starts at psi, which lies in gamma's kernel at an optimum.
 
     Raises ZeroNorm when a signed observable sum annihilates the state;
     the residual operator for that term is undefined there.
@@ -147,8 +149,7 @@ def sos_certificate(
     if state.kind != "pure":
         raise DensityInput("certificates are assembled on pure states")
     sums = assignment_sums(f, state, observables)
-    dims = state.subsystem_dims
-    ws = _Workspace(f, dims)
+    ws = _Workspace(f, state.subsystem_dims)
     central = np.array([o.matrix for o in observables.central])
     psi = state.data[:, None]
     t_psi = ws.apply(psi, sums + [None]).reshape(f.n_terms, -1)
@@ -156,10 +157,7 @@ def sos_certificate(
     correlators = np.einsum("ti,ti->t", b_psi.conj(), t_psi).real.tolist()
     omegas = np.linalg.norm(t_psi, axis=1).tolist()
 
-    eye = [np.eye(d) for d in dims]
-    gamma = np.zeros((len(psi), len(psi)), dtype=complex)
-    central_sq = 0.0
-    weights, residuals = [], []
+    weights, cross, residuals = [], [], []
     for i in range(f.n_terms):
         omega, value_i = omegas[i], correlators[i]
         if omega <= tol.ZERO_NORM:
@@ -171,14 +169,20 @@ def sos_certificate(
             sign = -1.0 if value_i < 0 else 1.0
             weight = _root_sum_weight(omega, abs(value_i) / omega, f.n)
         weights.append(weight)
+        cross.append(-weight * sign / omega)
         residuals.append(float(np.linalg.norm(sign * t_psi[i] / omega - b_psi[i])))
-        edge = [s[i] for s in sums]
-        gamma += tensor_all([a @ a for a in edge] + [weight / (2 * omega**2) * eye[-1]])
-        gamma -= tensor_all(edge + [weight * sign / omega * central[i]])
-        central_sq = central_sq + weight / 2 * central[i] @ central[i]
-    gamma += tensor_all(eye[:-1] + [central_sq])
-    if not gamma.imag.any():
-        gamma = gamma.real
+
+    w = np.array(weights)
+    pieces = [  # (term coefficients, slot ops) of the three stacks
+        (w / (2 * np.array(omegas) ** 2), [s @ s for s in sums] + [None]),
+        (cross, sums + [central]),
+        ([1.0], [None] * len(sums) + [np.tensordot(w / 2, central @ central, axes=1)[None]]),
+    ]
+    shift = w.sum()  # moves gamma's minimum, about 0, away from 0 for ARPACK
+
+    def gamma(v):
+        out = (np.tensordot(c, ws.apply(v, ops), axes=1).reshape(v.shape) for c, ops in pieces)
+        return sum(out) + shift * v
 
     bound, value = combine(f, [omegas, correlators]).tolist()
     return SOSReport(
@@ -190,7 +194,7 @@ def sos_certificate(
         residuals=tuple(residuals),
         bound_from_omegas=bound,
         gap=bound - value,
-        gamma_min_eig=float(np.linalg.eigvalsh(gamma)[0]),
+        gamma_min_eig=float(_extreme_eig(gamma, len(psi), "SA")[0] - shift),
     )
 
 

@@ -169,35 +169,38 @@ def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _extreme_eig(apply, total: int, which: str, v0: np.ndarray | None = None):
+    """Largest ("LA") or smallest ("SA") eigenpair of the Hermitian v -> apply(v)
+    on C^total: dense eigh of apply(I) up to _DENSE_EIG_LIMIT, else Lanczos
+    from v0 or, when None, a fixed seeded start. ARPACK's stopping test is
+    relative to the eigenvalue, so shift an operator whose extreme one is 0."""
+    if total <= _DENSE_EIG_LIMIT:
+        vals, vecs = np.linalg.eigh(apply(np.eye(total)))
+        k = -1 if which == "LA" else 0
+        return vals[k], vecs[:, k]
+    import scipy.sparse.linalg  # only this branch needs scipy
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal((total, 2)) @ [1, 1j]
+    op = scipy.sparse.linalg.LinearOperator((total, total), matvec=apply, dtype=complex)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which=which, v0=v0)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        # A start vector that is already an extreme eigenvector to rounding
+        # (the state at an optimum) can leave a residual ARPACK's default
+        # machine-precision tolerance never accepts.
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            op, k=1, which=which, v0=v0, tol=tol.LANCZOS_RETRY
+        )
+    return vals[0], vecs[:, 0]
+
+
 def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """Top eigenvector of the linearized Bell operator sum_t w[t] ops[t]."""
-    total = int(np.prod(ws.dims))
-    if total <= _DENSE_EIG_LIMIT:
-        kron = ops[0]
-        for op in ops[1:]:
-            t, a, b = kron.shape
-            _, c, d = op.shape
-            kron = np.einsum("tab,tcd->tacbd", kron, op).reshape(t, a * c, b * d)
-        vec = np.linalg.eigh(np.tensordot(w, kron, axes=1))[1][:, -1]
-    else:
-        import scipy.sparse.linalg  # only this branch needs scipy
 
-        def matvec(v):
-            return np.tensordot(w, ws.apply(v, ops), axes=1).reshape(-1)
+    def bell(v):
+        return np.tensordot(w, ws.apply(v, ops), axes=1).reshape(v.shape)
 
-        op = scipy.sparse.linalg.LinearOperator(
-            (total, total), matvec=matvec, dtype=complex
-        )
-        try:
-            _, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=psi0)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            # A start vector that is already a top eigenvector to rounding
-            # (the state at an optimum) can leave a residual ARPACK's
-            # default machine-precision tolerance never accepts.
-            _, vecs = scipy.sparse.linalg.eigsh(
-                op, k=1, which="LA", v0=psi0, tol=tol.LANCZOS_RETRY
-            )
-        vec = vecs[:, 0]
+    vec = _extreme_eig(bell, math.prod(ws.dims), "LA", psi0)[1]
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (np.conj(vec[pivot]) / abs(vec[pivot]))
     return vec / np.linalg.norm(vec)
@@ -244,7 +247,7 @@ def _seesaw_single(
 
     ket = factor
     if factor is None:
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         ket = (psi / np.linalg.norm(psi))[:, None]
 
@@ -341,7 +344,7 @@ def seesaw_optimize(
             )
     else:
         dims = (cfg.edge_dim,) * parties + (cfg.edge_dim**parties,)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > TOTAL_DIMENSION_GUARD:
         raise DimensionGuard(
             f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"

@@ -57,6 +57,9 @@ def state_to_json(state: QuantumState) -> dict:
 def state_from_json(obj: dict, path: str = "state") -> QuantumState:
     kind = _field(obj, "kind", path)
     dims = _field(obj, "subsystem_dims", path)
+    if not isinstance(dims, list) or any(type(d) is not int or d < 1 for d in dims):
+        raise ValueError(f"{path}.subsystem_dims: must be a list of positive "
+                         f"integers, got {dims!r}")
     data = matrix_from_json(_field(obj, "data", path), f"{path}.data")
     if kind == "pure":
         return QuantumState.pure(data.reshape(-1), dims)

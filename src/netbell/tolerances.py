@@ -25,8 +25,9 @@ WEIGHT_SUM = 1e-12
 # Largest imaginary residue silently discarded from a real expectation.
 IMAG_DISCARD = 1e-10
 
-# Relative Ritz residual accepted when Lanczos is retried after failing to
-# converge at machine precision.
+# Relative Ritz residual accepted when a Lanczos solve, the seesaw's top
+# eigenvector or the certificate's minimum eigenvalue, is retried after
+# failing to converge at machine precision.
 LANCZOS_RETRY = 1e-12
 
 # Signed observable sums with state-norm below this are degenerate.

@@ -154,6 +154,17 @@ class TestOptimizeCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", [("optimize",), ("certify", "--at-optimum")])
+    @pytest.mark.parametrize("dim", ["4294967296", "1099511627776"])
+    def test_dimension_guard_exact_product(self, capsys, command, dim):
+        # The chsh total is dim^2: 2^64 and 2^80, which an int64 product
+        # wraps to 0, below the guard.
+        code, out, err = run_cli(capsys, *command, "--expr", "chsh", "--dim", dim)
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("guard:")
+
     def test_dim_one_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--expr", "chsh", "--dim", "1")
         assert code == 2
@@ -340,6 +351,26 @@ class TestCertifyCommand:
         assert code == 0
         assert record_of(out)["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
+    def test_settings_at_4096_dimensions(self, capsys, tmp_path):
+        # Star n=6: gamma is applied through the slot kernel, never built as
+        # a 4096 x 4096 matrix.
+        f = build_functional(Kind.STAR, 2, 6)
+        state, assignment = optimal_assignment(f)
+        path = tmp_path / "star6.json"
+        path.write_text(serialize.dumps({
+            "state": serialize.state_to_json(state),
+            **serialize.assignment_to_json(assignment),
+        }))
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "certify", "--expr", "star", "--n", "6", "--settings", str(path)
+        )
+        assert time.perf_counter() - started < 3.0
+        assert code == 0
+        artifacts = json.loads(out)["artifacts"]
+        assert abs(artifacts["gamma_min_eig"]) <= 1e-10
+        assert abs(artifacts["gap"]) <= 1e-10
+
     def test_malformed_settings_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"state": {"kind": "pure"}}))
@@ -347,6 +378,21 @@ class TestCertifyCommand:
             capsys, "certify", "--expr", "chsh", "--settings", str(path)
         )
         assert code == 2
+        assert "settings.state.subsystem_dims" in err
+
+    @pytest.mark.parametrize("dims", [[2.7, 2.2], [True, 2], [0, 2], [-2, -2]])
+    def test_subsystem_dims_must_be_positive_integers(self, capsys, tmp_path, dims):
+        # [2.7, 2.2] used to load as [2, 2]; [-2, -2] multiplies to 4.
+        settings = _chsh_settings()
+        settings["state"]["subsystem_dims"] = dims
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "certify", "--expr", "chsh", "--settings", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
         assert "settings.state.subsystem_dims" in err
 
     def test_requires_mode(self, capsys):
@@ -685,7 +731,7 @@ class TestRecordContract:
 class TestUsage:
     def test_import_leaves_sparse_solver_unloaded(self):
         # Every CLI run pays for what importing netbell.cli loads; only the
-        # seesaw's Lanczos branch needs scipy.sparse.linalg.
+        # Lanczos branch of the eigensolver needs scipy.sparse.linalg.
         code = "import sys, netbell.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(netbell.__file__).parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

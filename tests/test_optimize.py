@@ -338,20 +338,28 @@ class TestBatchedKernel:
     def test_lanczos_retries_after_no_convergence(self, monkeypatch):
         # ARPACK can stall at machine precision when its start vector is
         # already a top eigenvector (seen on `optimize --expr star --n 4
-        # --seed 3`); the solve is retried at the looser tolerance.
-        real, tols = scipy.sparse.linalg.eigsh, []
+        # --seed 3`); the solve is retried at the looser tolerance. The
+        # certificate's smallest-eigenvalue solve shares that retry.
+        real, calls = scipy.sparse.linalg.eigsh, []
 
         def stalls_once(*args, **kwargs):
-            tols.append(kwargs.get("tol", 0))
-            if len(tols) == 1:
+            calls.append((kwargs["which"], kwargs.get("tol", 0)))
+            if len(calls) % 2:
                 raise scipy.sparse.linalg.ArpackNoConvergence(
                     "stalled", np.empty(0), np.empty((0, 0))
                 )
             return real(*args, **kwargs)
 
+        f = build_functional(Kind.XI, 3, 4)
+        state, assignment = optimal_assignment(f)
+        expected = sos_certificate(f, state, assignment).gamma_min_eig
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalls_once)
         assert_top_eigvec_matches_dense_eigh((3, 3, 15))
-        assert tols == [0, tol.LANCZOS_RETRY]
+        got = sos_certificate(f, state, assignment).gamma_min_eig
+        assert got == pytest.approx(expected, abs=1e-11)
+        assert calls == [
+            ("LA", 0), ("LA", tol.LANCZOS_RETRY), ("SA", 0), ("SA", tol.LANCZOS_RETRY)
+        ]
 
     def test_edge_update_keeps_unweighted_setting(self):
         # Chained m=3 terms are A0+A1, A1+A2, A2-A0: with only the middle
