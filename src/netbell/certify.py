@@ -5,7 +5,7 @@
   operator, omega_i its state norm, B_i the central observable, s_i the
   correlator sign for root-sum kinds). The certificate operator
   gamma = sum_i (w_i/2) M_i^dag M_i is PSD by construction and satisfies
-  the exact identity  <gamma> = bound_from_omegas - value  with the
+  the exact identity  Tr(gamma rho) = bound_from_omegas - value  with the
   per-term weights reported alongside the residuals.
 
 * The two-qubit correlation-matrix route: the largest two singular values
@@ -25,13 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (
-    DensityInput,
-    DimensionGuard,
-    DimensionMismatch,
-    OutOfRange,
-    ZeroNorm,
-)
+from .errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
 from .functionals import (
     LINEAR,
     Functional,
@@ -129,33 +123,32 @@ def sos_certificate(
     f: Functional, state: QuantumState, observables: ObservableAssignment
 ) -> SOSReport:
     """Report an assignment's omega norms, residuals, gap, and the minimum
-    eigenvalue of its certificate operator.
+    eigenvalue of its certificate operator, on any state, pure or density.
 
     T_i = (x)_k S_ik (x) I and B_i = I (x) C_i are Hermitian and act on
     different slots. The state side runs on the seesaw's batched slot
-    kernel: one stack of T_i psi and one of B_i psi, whose overlaps
-    <B_i psi|T_i psi> are the correlators. On the operator side
+    kernel with the state's (D, r) ``factor`` K, in O(T D r) memory: the
+    correlators Re Tr(rho B_i T_i) are overlaps of the stacks T_i K and
+    B_i K, and omega_i = sqrt(Tr(rho T_i^2)) and the residuals
+    sqrt(Tr(rho M_i^dag M_i)) are Frobenius norms. On the operator side
     M_i^dag M_i = (x)_k S_ik^2 (x) I / omega_i^2
     - (2 s_i / omega_i) (x)_k S_ik (x) C_i + I (x) C_i^2,
-    and gamma acts on a vector through three stacks on the same kernel, so
-    no D x D operator is built. Its minimum eigenvalue comes from the
+    and gamma, which does not depend on r, acts on a vector through three
+    stacks on the same kernel. Its minimum eigenvalue comes from the
     seesaw's eigensolver: dense eigh of gamma(I) up to the dense limit,
-    Lanczos above it on gamma + (sum_i w_i) I from a fixed generic start.
-    Lanczos never starts at psi, which lies in gamma's kernel at an optimum.
+    Lanczos above it on gamma + (sum_i w_i) I from a fixed generic start,
+    never from the state, which lies in gamma's kernel at an optimum.
 
     Raises ZeroNorm when a signed observable sum annihilates the state;
     the residual operator for that term is undefined there.
     """
-    if state.kind != "pure":
-        raise DensityInput("certificates are assembled on pure states")
     sums = assignment_sums(f, state, observables)
     ws = _Workspace(f, state.subsystem_dims)
     central = np.array([o.matrix for o in observables.central])
-    psi = state.data[:, None]
-    t_psi = ws.apply(psi, sums + [None]).reshape(f.n_terms, -1)
-    b_psi = ws.apply(psi, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
-    correlators = np.einsum("ti,ti->t", b_psi.conj(), t_psi).real.tolist()
-    omegas = np.linalg.norm(t_psi, axis=1).tolist()
+    t_k = ws.apply(state.factor, sums + [None]).reshape(f.n_terms, -1)
+    b_k = ws.apply(state.factor, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
+    correlators = np.einsum("ti,ti->t", b_k.conj(), t_k).real.tolist()
+    omegas = np.linalg.norm(t_k, axis=1).tolist()
 
     weights, cross, residuals = [], [], []
     for i in range(f.n_terms):
@@ -170,7 +163,7 @@ def sos_certificate(
             weight = _root_sum_weight(omega, abs(value_i) / omega, f.n)
         weights.append(weight)
         cross.append(-weight * sign / omega)
-        residuals.append(float(np.linalg.norm(sign * t_psi[i] / omega - b_psi[i])))
+        residuals.append(float(np.linalg.norm(sign * t_k[i] / omega - b_k[i])))
 
     w = np.array(weights)
     pieces = [  # (term coefficients, slot ops) of the three stacks
@@ -194,7 +187,7 @@ def sos_certificate(
         residuals=tuple(residuals),
         bound_from_omegas=bound,
         gap=bound - value,
-        gamma_min_eig=float(_extreme_eig(gamma, len(psi), "SA")[0] - shift),
+        gamma_min_eig=float(_extreme_eig(gamma, state.dim, "SA")[0] - shift),
     )
 
 

@@ -31,7 +31,6 @@ from . import __version__, serialize
 from .certify import correspondence_scan, sos_certificate
 from .classical import enumerate_deterministic_max, sample_nlocal_value
 from .errors import (
-    DensityInput,
     DimensionGuard,
     DimensionMismatch,
     InvalidScenario,
@@ -239,7 +238,7 @@ def cmd_certify(args) -> int:
 
     try:
         report = sos_certificate(f, state, assignment)
-    except (MissingObservable, DimensionMismatch, DensityInput) as exc:
+    except (MissingObservable, DimensionMismatch) as exc:
         print(f"invalid settings: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroNorm as exc:

@@ -13,10 +13,6 @@ class DimensionMismatch(NetbellError, ValueError):
     """Operator and state (or two operators) have incompatible dimensions."""
 
 
-class DensityInput(NetbellError, ValueError):
-    """A density matrix was supplied where a pure state is required."""
-
-
 class NonUnitVector(NetbellError, ValueError):
     """A Bloch vector that must have unit length does not."""
 

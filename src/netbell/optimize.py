@@ -102,14 +102,14 @@ def _sign_eig(h: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Shared geometry for one seesaw run: slot dims and the batched slot
-    contractions. The sign coefficients are the functional's own
-    ``f.coefficients``; the workspace keeps no copy.
+    """Shared geometry for one seesaw run or certificate: slot dims and the
+    batched slot contractions. The sign coefficients are the functional's
+    own ``f.coefficients``; the workspace keeps no copy.
 
-    The state travels as one (D, r) factor K with K K^dag = rho, whose
-    correlators are c_t = sum conj(K) * (O_t K) = Tr(O_t rho): a pure
-    state is K = psi with r = 1, a density is r = rank(rho) columns. Every
-    contraction carries all r columns, so the cost grows with the rank.
+    The state travels as its (D, r) ``QuantumState.factor`` K, whose
+    correlators are c_t = sum conj(K) * (O_t K) = Tr(O_t rho): r = 1 for a
+    pure state, rank(rho) for a density. Every contraction carries all r
+    columns, so the cost grows with the rank.
 
     Operators travel as one (T, d, d) stack per slot: ``ops[j][t]`` is term
     t's operator on slot j (its signed observable sum on an edge slot, its
@@ -148,15 +148,6 @@ def _steering(ws: _Workspace, ket: np.ndarray, slot: int, ops) -> np.ndarray:
     phi = ws.apply(ket, ops[:slot] + [None] + ops[slot + 1 :])
     phi = phi.reshape(len(phi), pre, d, -1)
     return np.einsum("tpaq,pzq->taz", phi, ket.reshape(pre, d, -1).conj())
-
-
-def _state_factor(state: QuantumState) -> np.ndarray:
-    """(D, r) factor K with K K^dag = rho, r the rank at matrix_rank's cut."""
-    if state.kind == "pure":
-        return state.data[:, None]
-    lam, vecs = np.linalg.eigh(state.data)
-    keep = lam > lam.max() * len(lam) * np.finfo(float).eps
-    return vecs[:, keep] * np.sqrt(lam[keep])
 
 
 def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
@@ -327,8 +318,8 @@ def seesaw_optimize(
     """Best-of-restarts alternating optimization of a functional.
 
     With ``fixed_state`` (pure or density) only the observables are
-    optimized, on a (D, r) factor of the state taken once per call: r is
-    its rank (1 when pure), and every step's cost scales with r. Otherwise
+    optimized, on the state's (D, r) ``factor``: r is its rank (1 when
+    pure), and every step's cost scales with r. Otherwise
     the state is updated each sweep to the top eigenvector of the
     linearized Bell operator. The returned history is monotonically
     nondecreasing; a restart that fails to make progress is reported with
@@ -350,7 +341,7 @@ def seesaw_optimize(
             f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 
-    factor = None if fixed_state is None else _state_factor(fixed_state)
+    factor = None if fixed_state is None else fixed_state.factor
     ws = _Workspace(f, dims)
     best = None
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,23 +58,30 @@ class Observable:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure vector or density operator with declared subsystem dimensions."""
+    """Pure vector or density operator with declared subsystem dimensions.
+    The seesaw and the SOS certificate read its entries only through ``factor``."""
 
     kind: str
     data: np.ndarray
     subsystem_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for d in self.subsystem_dims:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+                raise InvalidDimension(
+                    f"subsystem dims must be positive integers, got {self.subsystem_dims!r}"
+                )
         dims = tuple(int(d) for d in self.subsystem_dims)
         total = math.prod(dims)
         arr = np.asarray(self.data, dtype=complex)
+        # Written as "not within tolerance" so that NaN fails the checks.
         if self.kind == "pure":
             arr = arr.reshape(-1)
             if arr.shape[0] != total:
                 raise DimensionMismatch(
                     f"vector length {arr.shape[0]} != product of dims {total}"
                 )
-            if abs(np.linalg.norm(arr) - 1.0) > tol.UNIT_NORM:
+            if not abs(np.linalg.norm(arr) - 1.0) <= tol.UNIT_NORM:
                 raise ValueError("pure state vector is not normalized")
         elif self.kind == "density":
             arr = as_matrix(arr)
@@ -83,7 +91,7 @@ class QuantumState:
                 )
             if not is_hermitian(arr):
                 raise NonHermitianInput("density matrix is not Hermitian")
-            if abs(np.trace(arr).real - 1.0) > tol.TRACE_ONE:
+            if not abs(np.trace(arr).real - 1.0) <= tol.TRACE_ONE:
                 raise ValueError("density matrix trace is not 1")
             if float(np.linalg.eigvalsh(arr)[0]) < tol.PSD_FLOOR:
                 raise ValueError("density matrix is not positive semidefinite")
@@ -105,6 +113,19 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return math.prod(self.subsystem_dims)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Read-only (D, r) K with K K^dag = rho, computed on first use: the
+        vector when pure, else sqrt(eigenvalue)-scaled eigenvectors above
+        matrix_rank's cut."""
+        if self.kind == "pure":
+            return self.data[:, None]
+        lam, vecs = np.linalg.eigh(self.data)
+        keep = lam > lam.max() * len(lam) * np.finfo(float).eps
+        out = vecs[:, keep] * np.sqrt(lam[keep])
+        out.setflags(write=False)
+        return out
 
     def density_matrix(self) -> np.ndarray:
         """Density-operator form regardless of kind."""

@@ -17,7 +17,7 @@ from netbell.certify import (
     horodecki_chsh_max,
     sos_certificate,
 )
-from netbell.errors import DensityInput, DimensionMismatch, OutOfRange, ZeroNorm
+from netbell.errors import DimensionMismatch, OutOfRange, ZeroNorm
 from netbell.functionals import (
     LINEAR,
     Kind,
@@ -194,7 +194,9 @@ class TestBilocalMaxPair:
         assert bilocal_max_pair(*states) == pytest.approx(2.113297, abs=1e-6)
 
 
-def random_assignment(f, rng, dim=2):
+def random_assignment(f, rng, dim=2, rank=1):
+    """Haar involutions and a random state: a pure vector at rank 1, else a
+    Ginibre density of the given rank."""
     parties = 1 if f.n == 1 else f.n
     central_dim = dim**parties
     edge = tuple(
@@ -206,10 +208,15 @@ def random_assignment(f, rng, dim=2):
         for _ in range(f.n_terms)
     )
     dims = (dim,) * parties + (central_dim,)
-    vec = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(
-        int(np.prod(dims))
-    )
-    state = QuantumState.pure(vec / np.linalg.norm(vec), dims)
+    if rank == 1:
+        vec = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(
+            int(np.prod(dims))
+        )
+        state = QuantumState.pure(vec / np.linalg.norm(vec), dims)
+    else:
+        g = rng.standard_normal((int(np.prod(dims)), rank, 2)) @ [1, 1j]
+        rho = g @ g.conj().T
+        state = QuantumState.density((rho + rho.conj().T) / (2 * np.trace(rho).real), dims)
     return state, ObservableAssignment(edge=edge, central=central)
 
 
@@ -266,11 +273,18 @@ class TestSOSCertificate:
         with pytest.raises(ZeroNorm):
             sos_certificate(f, state, degenerate)
 
-    def test_density_input_rejected(self):
+    def test_density_input_certified(self):
+        # The optimal CHSH observables on the Werner state of their own
+        # optimal state: T_i^2 = 2 I, so omega_i = sqrt(2) at every
+        # visibility, and the value scales by it.
         f = build_functional(Kind.CHSH, 2, 1)
-        _, assignment = optimal_assignment(f)
-        with pytest.raises(DensityInput):
-            sos_certificate(f, werner(0.9), assignment)
+        state, assignment = optimal_assignment(f)
+        rho = 0.9 * state.density_matrix() + 0.1 * np.eye(4) / 4
+        rep = sos_certificate(f, QuantumState.density(rho, (2, 2)), assignment)
+        assert rep.omegas == pytest.approx((SQ2, SQ2), abs=1e-12)
+        assert rep.value == pytest.approx(0.9 * 2 * SQ2, abs=1e-12)
+        assert rep.gap == pytest.approx(0.1 * 2 * SQ2, abs=1e-12)
+        assert rep.gamma_min_eig >= -1e-12
 
 
 ALL_KINDS = [
@@ -285,11 +299,18 @@ ALL_KINDS = [
 
 
 def dense_certificate(f, state, assignment):
-    """The certificate built term by term from dense operators: T_i, B_i
-    and M_i = s_i T_i / omega_i - B_i as full matrices, and
-    gamma = sum_i (w_i/2) M_i^dag M_i by matrix products."""
+    """The certificate built term by term from dense operators on the
+    density rho of any state: T_i, B_i and M_i = s_i T_i / omega_i - B_i as
+    full matrices, the correlators Tr(rho B_i T_i), omega_i =
+    sqrt(Tr(rho T_i^2)), the squared residuals Tr(rho M_i^dag M_i) (a
+    square root would cost half the digits at an optimum, where they
+    vanish), and gamma = sum_i (w_i/2) M_i^dag M_i by matrix products."""
     dims = state.subsystem_dims
-    psi = state.data
+    rho = state.density_matrix()
+
+    def trace_rho(op):
+        return np.trace(rho @ op).real
+
     omegas, weights, residuals, correlators, gamma = [], [], [], [], 0
     for i in range(f.n_terms):
         edge = [f.signed_sums(k, [o.matrix for o in row])[i]
@@ -297,8 +318,8 @@ def dense_certificate(f, state, assignment):
         t_edge = tensor_all(edge + [np.eye(dims[-1])])
         b_full = tensor_all([np.eye(d) for d in dims[:-1]]
                             + [assignment.central[i].matrix])
-        omega = np.linalg.norm(t_edge @ psi)
-        value_i = np.vdot(psi, b_full @ t_edge @ psi).real
+        omega = math.sqrt(trace_rho(t_edge @ t_edge))
+        value_i = trace_rho(b_full @ t_edge)
         if f.combiner == LINEAR:
             sign, weight = 1.0, omega
         else:
@@ -308,7 +329,7 @@ def dense_certificate(f, state, assignment):
         omegas.append(omega)
         weights.append(weight)
         correlators.append(value_i)
-        residuals.append(np.linalg.norm(m_op @ psi))
+        residuals.append(trace_rho(m_op.conj().T @ m_op))
         gamma = gamma + weight / 2 * (m_op.conj().T @ m_op)
     if f.combiner == LINEAR:
         bound, value = sum(omegas), sum(correlators)
@@ -320,19 +341,21 @@ def dense_certificate(f, state, assignment):
         "correlators": correlators,
         "omegas": omegas,
         "weights": weights,
-        "residuals": residuals,
+        "squared_residuals": residuals,
         "bound_from_omegas": bound,
         "gap": bound - value,
         "gamma_min_eig": np.linalg.eigvalsh(gamma)[0],
     }, gamma
 
 
-def assert_matches_dense(f, state, assignment):
+def assert_matches_dense(f, state, assignment, atol=1e-10):
     expected, gamma = dense_certificate(f, state, assignment)
     rep = sos_certificate(f, state, assignment)
+    got = {**vars(rep), "squared_residuals": np.square(rep.residuals)}
     for field, want in expected.items():
-        got = getattr(rep, field)
-        assert np.allclose(got, want, rtol=0, atol=1e-10), field
+        assert np.allclose(got[field], want, rtol=0, atol=atol), field
+    # The identity Tr(gamma rho) = bound_from_omegas - value.
+    assert abs(np.trace(gamma @ state.density_matrix()).real - rep.gap) <= atol
     return gamma
 
 
@@ -359,6 +382,22 @@ class TestCertificateMatchesDense:
         state, assignment = random_assignment(f, np.random.default_rng(3))
         assert state.data.size == 256
         assert_matches_dense(f, state, assignment)
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    @pytest.mark.parametrize("kind,m,n", ALL_KINDS)
+    def test_random_densities(self, kind, m, n, rank):
+        f = build_functional(kind, m, n)
+        rng = np.random.default_rng(f.n_terms + 10 * n + 100 * rank)
+        for _ in range(2):
+            state, assignment = random_assignment(f, rng, rank=rank)
+            assert state.factor.shape == (state.dim, rank)
+            assert_matches_dense(f, state, assignment, atol=1e-12)
+
+    def test_density_above_128_runs_lanczos(self):
+        f = build_functional(Kind.XI, 3, 4)
+        state, assignment = random_assignment(f, np.random.default_rng(5), rank=3)
+        assert state.dim > op._DENSE_EIG_LIMIT
+        assert_matches_dense(f, state, assignment, atol=1e-12)
 
 
 def assert_lanczos_min_eig_matches_dense(f, state, assignment):

@@ -19,7 +19,7 @@ from netbell.cli import main
 from netbell.errors import DimensionGuard
 from netbell.functionals import Kind, build_functional
 from netbell.optimize import SeesawConfig, optimal_assignment
-from netbell.states import QuantumState, maximally_entangled
+from netbell.states import QuantumState, maximally_entangled, network_product_state
 
 from importlib.resources import files
 
@@ -351,6 +351,38 @@ class TestCertifyCommand:
         assert code == 0
         assert record_of(out)["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "kind,n,visibility,value",
+        [
+            # The maximally mixed state: every correlator vanishes.
+            ("chsh", 1, 0.0, 0.0),
+            # Two Werner sources: each term's correlator scales by v^2, its
+            # square root by v.
+            ("bilocal", 2, 0.8, 0.8 * 2 * math.sqrt(2)),
+        ],
+        ids=["maximally_mixed", "werner_bilocal"],
+    )
+    def test_density_settings(self, capsys, tmp_path, kind, n, visibility, value):
+        f = build_functional(Kind(kind), 2, n)
+        _, assignment = optimal_assignment(f)
+        phi = maximally_entangled(2).density_matrix()
+        source = QuantumState.density(
+            visibility * phi + (1 - visibility) * np.eye(4) / 4, (2, 2)
+        )
+        state = source if n == 1 else network_product_state([source] * n)
+        path = tmp_path / "density.json"
+        path.write_text(serialize.dumps({
+            "state": serialize.state_to_json(state),
+            **serialize.assignment_to_json(assignment),
+        }))
+        code, out, _ = run_cli(capsys, "certify", "--expr", kind, "--settings", str(path))
+        assert code == 0
+        rec = record_of(out)
+        assert rec["artifacts"]["state"]["kind"] == "density"
+        assert rec["value"] == pytest.approx(value, abs=1e-12)
+        gap = (1 - visibility) * 2 * math.sqrt(2)
+        assert rec["artifacts"]["gap"] == pytest.approx(gap, abs=1e-12)
+
     def test_settings_at_4096_dimensions(self, capsys, tmp_path):
         # Star n=6: gamma is applied through the slot kernel, never built as
         # a 4096 x 4096 matrix.
@@ -435,13 +467,16 @@ def _widened(obs):
     return serialize.matrix_to_json(np.kron(serialize.matrix_from_json(obs), np.eye(2)))
 
 
+def _first_amplitude(s, value):
+    """The settings with the state's first real part set to ``value``;
+    Python's json writes and reads NaN and Infinity."""
+    data = s["state"]["data"]
+    return {**s, "state": {**s["state"], "data": {**data, "re": [value] + data["re"][1:]}}}
+
+
 BAD_SETTINGS = {
-    "density_state": lambda s: {
-        **s,
-        "state": serialize.state_to_json(
-            QuantumState.density(np.eye(4) / 4, (2, 2))
-        ),
-    },
+    "nan_amplitude": lambda s: _first_amplitude(s, math.nan),
+    "inf_amplitude": lambda s: _first_amplitude(s, math.inf),
     "one_slot_state": lambda s: {**s, "state": {**s["state"], "subsystem_dims": [4]}},
     "one_central_observable": lambda s: {
         **s, "central_observables": s["central_observables"][:1]

@@ -26,7 +26,6 @@ from netbell.optimize import (
     _edge_update,
     _random_involution,
     _sign_eig,
-    _state_factor,
     _steering,
     _top_eigvec,
     _vector_gradient,
@@ -272,7 +271,7 @@ class TestBatchedKernel:
         ops = _Workspace(f, dims).slot_ops(edge, central)
         assignment = as_assignment(edge, central)
         _, expected = eval_functional(f, QuantumState.pure(psi, dims), assignment)
-        factor = _state_factor(QuantumState.density(np.outer(psi, psi.conj()), dims))
+        factor = QuantumState.density(np.outer(psi, psi.conj()), dims).factor
         assert factor.shape == (len(psi), 1)
         states = [
             (_Workspace(f, dims), psi[:, None]),
@@ -293,7 +292,7 @@ class TestBatchedKernel:
         assert np.linalg.matrix_rank(rho) == total
         state = QuantumState.density(rho, dims)
         _, expected = eval_functional(f, state, as_assignment(edge, central))
-        factor = _state_factor(state)
+        factor = state.factor
         assert factor.shape == (total, total)
         states = [(_Workspace(f, dims), factor)]
         assert_kernel_matches(states, ops, expected)
@@ -312,7 +311,7 @@ class TestBatchedKernel:
             [random_two_qubit_density(10 * k + r, r) for k, r in enumerate(ranks)]
         )
         dims = state.subsystem_dims
-        factor = _state_factor(state)
+        factor = state.factor
         assert factor.shape == (len(state.data), math.prod(ranks))
         assert np.max(np.abs(factor @ factor.conj().T - state.data)) <= 1e-12
         edge, central, _ = random_setting(f, dims, seed=sum(ranks) + n)

@@ -60,6 +60,49 @@ class TestQuantumState:
         with pytest.raises(Exception):
             QuantumState.pure([1, 0, 0, 0], (2, 3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_pure_state_rejected(self, bad):
+        # NaN compares False with everything, so a "norm off by more than
+        # the tolerance" test would let it through.
+        with pytest.raises(ValueError):
+            QuantumState.pure([bad, 0, 0, 0], (2, 2))
+
+    @pytest.mark.parametrize("dims", [(2.7, 2.2), (-2, -2), (True, 4), (0, 4), (2.0, 2)])
+    def test_subsystem_dims_must_be_positive_integers(self, dims):
+        # (2.7, 2.2) used to become (2, 2); the others multiply to 4.
+        with pytest.raises(InvalidDimension):
+            QuantumState.pure([1, 0, 0, 0], dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        state = QuantumState.pure([1, 0, 0, 0], (np.int64(2), np.int32(2)))
+        assert state.subsystem_dims == (2, 2)
+        assert all(type(d) is int for d in state.subsystem_dims)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_density_factor_reproduces_rho(self, rank):
+        rho = random_two_qubit_density(11 + rank, rank)
+        k = rho.factor
+        assert k.shape == (4, rank)
+        assert np.max(np.abs(k @ k.conj().T - rho.data)) <= 1e-12
+        assert not k.flags.writeable
+
+    def test_pure_factor_is_read_only_view(self):
+        psi = maximally_entangled(3)
+        k = psi.factor
+        assert k.shape == (9, 1)
+        assert np.shares_memory(k, psi.data)
+        assert np.max(np.abs(k @ k.conj().T - psi.density_matrix())) <= 1e-12
+        with pytest.raises(ValueError):
+            k[0, 0] = 0.0
+
+    @pytest.mark.parametrize("make", [lambda: maximally_entangled(2),
+                                      lambda: random_two_qubit_density(3, 2)])
+    def test_computed_once(self, make):
+        state = make()
+        assert state.factor is state.factor
+
 
 class TestObservableFromBloch:
     def test_z_axis(self):
