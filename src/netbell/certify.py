@@ -111,12 +111,13 @@ class SOSReport:
     gamma_min_eig: float
 
 
-def _root_sum_weight(omega: float, ratio: float, n: int) -> float:
+def _root_sum_weights(omegas: np.ndarray, ratios: np.ndarray, n: int) -> np.ndarray:
     # (omega^(1/n) - |I|^(1/n)) / (1 - |I|/omega), continuously extended
-    # at |I| = omega where it tends to omega^(1/n)/n.
-    if 1.0 - ratio < 1e-12:
-        return omega ** (1.0 / n) / n
-    return omega ** (1.0 / n) * (1.0 - ratio ** (1.0 / n)) / (1.0 - ratio)
+    # at |I| = omega where it tends to omega^(1/n)/n. float_power is C pow;
+    # numpy's SIMD ``**`` differs from it in the last bit on some inputs.
+    near = 1.0 - ratios < 1e-12
+    r, roots = np.where(near, 0.0, ratios), np.float_power(omegas, 1.0 / n)
+    return np.where(near, roots / n, roots * (1.0 - np.float_power(r, 1.0 / n)) / (1.0 - r))
 
 
 def sos_certificate(
@@ -126,65 +127,64 @@ def sos_certificate(
     eigenvalue of its certificate operator, on any state, pure or density.
 
     T_i = (x)_k S_ik (x) I and B_i = I (x) C_i are Hermitian and act on
-    different slots. The state side runs on the seesaw's batched slot
+    different slots, so M_i = s_i T_i / omega_i - B_i is Hermitian and
+    M_i^dag M_i = M_i^2. Everything runs on the seesaw's batched slot
     kernel with the state's (D, r) ``factor`` K, in O(T D r) memory: the
     correlators Re Tr(rho B_i T_i) are overlaps of the stacks T_i K and
-    B_i K, and omega_i = sqrt(Tr(rho T_i^2)) and the residuals
-    sqrt(Tr(rho M_i^dag M_i)) are Frobenius norms. On the operator side
-    M_i^dag M_i = (x)_k S_ik^2 (x) I / omega_i^2
-    - (2 s_i / omega_i) (x)_k S_ik (x) C_i + I (x) C_i^2,
-    and gamma, which does not depend on r, acts on a vector through three
-    stacks on the same kernel. Its minimum eigenvalue comes from the
-    seesaw's eigensolver: dense eigh of gamma(I) up to the dense limit,
-    Lanczos above it on gamma + (sum_i w_i) I from a fixed generic start,
-    never from the state, which lies in gamma's kernel at an optimum.
+    B_i K, omega_i = sqrt(Tr(rho T_i^2)) is the Frobenius norm of T_i K,
+    and one residual map x_i -> M_i x_i gives both the residuals
+    sqrt(Tr(rho M_i^dag M_i)), the Frobenius norms of M_i K, and
+    gamma v = sum_i (w_i/2) M_i M_i v, which does not depend on r. Its
+    minimum eigenvalue comes from the seesaw's eigensolver: dense eigh of
+    gamma(I) up to the dense limit, Lanczos above it on
+    gamma + (sum_i w_i) I from a fixed generic start, never from the
+    state, which lies in gamma's kernel at an optimum.
 
     Raises ZeroNorm when a signed observable sum annihilates the state;
     the residual operator for that term is undefined there.
     """
     sums = assignment_sums(f, state, observables)
     ws = _Workspace(f, state.subsystem_dims)
-    central = np.array([o.matrix for o in observables.central])
-    t_k = ws.apply(state.factor, sums + [None]).reshape(f.n_terms, -1)
-    b_k = ws.apply(state.factor, [None] * len(sums) + [central]).reshape(f.n_terms, -1)
-    correlators = np.einsum("ti,ti->t", b_k.conj(), t_k).real.tolist()
-    omegas = np.linalg.norm(t_k, axis=1).tolist()
+    edge_ops = sums + [None]
+    central_ops = [None] * len(sums) + [np.array([o.matrix for o in observables.central])]
+    factor = state.factor[None]
+    t_k = ws.apply(factor, edge_ops).reshape(f.n_terms, -1)
+    b_k = ws.apply(factor, central_ops).reshape(f.n_terms, -1)
+    correlators = np.einsum("ti,ti->t", b_k.conj(), t_k).real
+    omegas = np.linalg.norm(t_k, axis=1)
+    vanishing = np.flatnonzero(omegas <= tol.ZERO_NORM)
+    if vanishing.size:
+        raise ZeroNorm(f"signed observable sum of term {vanishing[0]} annihilates the state")
+    if f.combiner == LINEAR:
+        signs, weights = np.ones(f.n_terms), omegas
+    else:
+        signs = np.where(correlators < 0, -1.0, 1.0)
+        weights = _root_sum_weights(omegas, np.abs(correlators) / omegas, f.n)
+    # Divided by omega_i rather than scaled by s_i / omega_i, and each row
+    # summed as np.linalg.norm sums one vector (real part, then imaginary),
+    # so that a residual keeps the bits of its term's own norm.
+    s, o = signs[:, None, None], omegas[:, None, None]
 
-    weights, cross, residuals = [], [], []
-    for i in range(f.n_terms):
-        omega, value_i = omegas[i], correlators[i]
-        if omega <= tol.ZERO_NORM:
-            raise ZeroNorm(f"signed observable sum of term {i} annihilates the state")
-        if f.combiner == LINEAR:
-            sign = 1.0
-            weight = omega
-        else:
-            sign = -1.0 if value_i < 0 else 1.0
-            weight = _root_sum_weight(omega, abs(value_i) / omega, f.n)
-        weights.append(weight)
-        cross.append(-weight * sign / omega)
-        residuals.append(float(np.linalg.norm(sign * t_k[i] / omega - b_k[i])))
+    def residual(x):
+        """M_i x_i for a (1 or T, D, c) stack x, as a (T, D, c) stack."""
+        return s * ws.apply(x, edge_ops) / o - ws.apply(x, central_ops)
 
-    w = np.array(weights)
-    pieces = [  # (term coefficients, slot ops) of the three stacks
-        (w / (2 * np.array(omegas) ** 2), [s @ s for s in sums] + [None]),
-        (cross, sums + [central]),
-        ([1.0], [None] * len(sums) + [np.tensordot(w / 2, central @ central, axes=1)[None]]),
-    ]
-    shift = w.sum()  # moves gamma's minimum, about 0, away from 0 for ARPACK
+    m_k = residual(factor).reshape(f.n_terms, -1)
+    residuals = np.sqrt(np.vecdot(m_k.real, m_k.real) + np.vecdot(m_k.imag, m_k.imag))
+    shift = weights.sum()  # moves gamma's minimum, about 0, away from 0 for ARPACK
 
     def gamma(v):
-        out = (np.tensordot(c, ws.apply(v, ops), axes=1).reshape(v.shape) for c, ops in pieces)
-        return sum(out) + shift * v
+        mmv = residual(residual(v.reshape(1, state.dim, -1)))
+        return np.tensordot(weights / 2, mmv, axes=1).reshape(v.shape) + shift * v
 
     bound, value = combine(f, [omegas, correlators]).tolist()
     return SOSReport(
         functional=f,
         value=value,
-        correlators=tuple(correlators),
-        omegas=tuple(omegas),
-        weights=tuple(weights),
-        residuals=tuple(residuals),
+        correlators=tuple(correlators.tolist()),
+        omegas=tuple(omegas.tolist()),
+        weights=tuple(weights.tolist()),
+        residuals=tuple(residuals.tolist()),
         bound_from_omegas=bound,
         gap=bound - value,
         gamma_min_eig=float(_extreme_eig(gamma, state.dim, "SA")[0] - shift),

@@ -62,27 +62,18 @@ def _check_pm_one(arr: np.ndarray, what: str) -> None:
 
 
 def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
-    """Functional value of one deterministic strategy."""
-    parties = f.parties
-    if len(s.edge_responses) != parties:
-        raise ShapeMismatch(
-            f"need {parties} edge response tables, got {len(s.edge_responses)}"
-        )
-    edge = np.array(s.edge_responses, dtype=float)
-    if edge.shape != (parties, f.m):
-        raise ShapeMismatch(f"edge responses must be {parties} x {f.m}")
+    """Functional value of one deterministic strategy: ``eval_model`` of
+    the support-1 mixture of weight 1, whose products are all integers,
+    so the value is exact."""
     central = np.array(s.central_responses, dtype=float)
     if central.shape != (f.n_terms,):
-        raise ShapeMismatch(
-            f"central responses must have length {f.n_terms}"
-        )
-    _check_pm_one(edge, "edge response")
-    _check_pm_one(central, "central response")
-
-    # A support-1 mixture of weight 1: every product is an integer, so exact.
-    ones = [np.ones((1, 1))] * parties
-    central = central.reshape((1,) * (parties + 1) + (-1,))
-    return combine(f, _mixture_terms(f, ones, edge[:, None, None], central)[0])
+        raise ShapeMismatch(f"central responses must have length {f.n_terms}")
+    model = HiddenVariableModel(
+        weights=(np.ones(1),) * f.parties,
+        edge_responses=tuple(np.array([r], dtype=float) for r in s.edge_responses),
+        central_responses=central.reshape((1,) * f.parties + (-1,)),
+    )
+    return eval_model(f, model)
 
 
 def enumerate_deterministic_max(
@@ -178,9 +169,9 @@ def _mixture_terms(
 
 
 def eval_model(f: Functional, model: HiddenVariableModel) -> float:
-    """Functional value of a finite n-local mixture, checked as
-    ``eval_strategy`` checks a strategy: +1/-1 responses, and per source
-    nonnegative weights summing to 1 within ``WEIGHT_SUM``."""
+    """Functional value of a finite n-local mixture, after checking its
+    table shapes, its +1/-1 responses, and per source nonnegative weights
+    summing to 1 within ``WEIGHT_SUM``."""
     parties = f.parties
     if len(model.weights) != parties or len(model.edge_responses) != parties:
         raise ShapeMismatch(f"model must carry {parties} sources")

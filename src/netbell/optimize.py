@@ -126,18 +126,19 @@ class _Workspace:
     def slot_ops(self, edge: list[np.ndarray], central: np.ndarray) -> list[np.ndarray]:
         return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [central]
 
-    def apply(self, ket: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
-        """Stack over t of (ops[0][t] x ... x ops[-1][t]) ket, one batched
-        matmul per slot; the result's leading axis is t."""
-        out = ket[None]
+    def apply(self, x: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
+        """Stack over t of (ops[0][t] x ... x ops[-1][t]) x[t] for a (1 or T,
+        D, ...) stack x, one batched matmul per slot; a one-entry stack is
+        applied to every term. The result has x's shape with T leading."""
+        out = x
         for (pre, d), op in zip(self.splits, ops):
             if op is not None:
                 out = op[:, None] @ out.reshape(len(out), pre, d, -1)
-        return out
+        return out.reshape(len(out), *x.shape[1:])
 
 
 def _correlators(ws: _Workspace, ket: np.ndarray, ops) -> list[float]:
-    phi = ws.apply(ket, ops)
+    phi = ws.apply(ket[None], ops)
     return (phi.reshape(ws.f.n_terms, -1) @ ket.conj().reshape(-1)).real.tolist()
 
 
@@ -145,7 +146,7 @@ def _steering(ws: _Workspace, ket: np.ndarray, slot: int, ops) -> np.ndarray:
     """(T, d, d) steering stack H with Tr(A H[t]) the correlator of
     A (x) ops[t], A acting on ``slot`` in place of ``ops[slot]``."""
     pre, d = ws.splits[slot]
-    phi = ws.apply(ket, ops[:slot] + [None] + ops[slot + 1 :])
+    phi = ws.apply(ket[None], ops[:slot] + [None] + ops[slot + 1 :])
     phi = phi.reshape(len(phi), pre, d, -1)
     return np.einsum("tpaq,pzq->taz", phi, ket.reshape(pre, d, -1).conj())
 
@@ -189,7 +190,7 @@ def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndar
     """Top eigenvector of the linearized Bell operator sum_t w[t] ops[t]."""
 
     def bell(v):
-        return np.tensordot(w, ws.apply(v, ops), axes=1).reshape(v.shape)
+        return np.tensordot(w, ws.apply(v[None], ops), axes=1)
 
     vec = _extreme_eig(bell, math.prod(ws.dims), "LA", psi0)[1]
     pivot = int(np.argmax(np.abs(vec)))
@@ -242,54 +243,14 @@ def _seesaw_single(
         psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         ket = (psi / np.linalg.norm(psi))[:, None]
 
+    def score(ket, ops):
+        corr = _correlators(ws, ket, ops)
+        return corr, combine(f, corr)
+
     ops = ws.slot_ops(edge, central)
-    corr = _correlators(ws, ket, ops)
-    value = combine(f, corr)
+    corr, value = score(ket, ops)
     history = [value]
     converged = False
-
-    def state_step(w):
-        # Top eigenvector of the linearized Bell operator, damped by a
-        # line search on the true objective: root-sum combiners are
-        # concave in the correlators, so the full jump can overshoot.
-        nonlocal ket, corr, value
-        held = ket[:, 0]
-        target = _top_eigvec(ws, ops, w, held)
-        for eta in (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02):
-            cand = (1.0 - eta) * held + eta * target
-            norm = np.linalg.norm(cand)
-            if norm < 1e-12:
-                continue
-            ket = (cand / norm)[:, None]
-            corr_new = _correlators(ws, ket, ops)
-            value_new = combine(f, corr_new)
-            if value_new > value:
-                corr, value = corr_new, value_new
-                return
-        ket = held[:, None]
-
-    def edge_step(w, k):
-        nonlocal ops, corr, value
-        held, held_ops = edge[k], ops
-        edge[k] = _edge_update(ws, k, edge[k], w, _steering(ws, ket, k, ops))
-        ops = ops[:k] + [f.signed_sums(k, edge[k])] + ops[k + 1 :]
-        corr_new = _correlators(ws, ket, ops)
-        value_new = combine(f, corr_new)
-        if value_new >= value:
-            corr, value = corr_new, value_new
-        else:
-            edge[k] = held
-            ops = held_ops
-
-    def central_step():
-        # Each term owns its central input, so this update maximizes I_i
-        # (hence |I_i|) exactly and never decreases the objective.
-        # ``central`` is rebound, never written in place: ops[-1] is it.
-        nonlocal central, ops, corr, value
-        central = _sign_eig(_steering(ws, ket, ws.parties, ops))
-        ops = ops[:-1] + [central]
-        corr = _correlators(ws, ket, ops)
-        value = combine(f, corr)
 
     for _ in range(cfg.max_iters):
         before = value
@@ -297,10 +258,33 @@ def _seesaw_single(
         if not np.any(w):
             w = np.where(np.asarray(corr) < 0, -1.0, 1.0)
         if factor is None:
-            state_step(w)
+            # Top eigenvector of the linearized Bell operator, damped by a
+            # line search on the true objective: root-sum combiners are
+            # concave in the correlators, so the full jump can overshoot.
+            held = ket[:, 0]
+            target = _top_eigvec(ws, ops, w, held)
+            for eta in (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02):
+                cand = (1.0 - eta) * held + eta * target
+                norm = np.linalg.norm(cand)
+                if norm < 1e-12:
+                    continue
+                cand = (cand / norm)[:, None]
+                cand_corr, cand_value = score(cand, ops)
+                if cand_value > value:
+                    ket, corr, value = cand, cand_corr, cand_value
+                    break
         for k in range(ws.parties):
-            edge_step(w, k)
-        central_step()
+            moved = _edge_update(ws, k, edge[k], w, _steering(ws, ket, k, ops))
+            cand_ops = ops[:k] + [f.signed_sums(k, moved)] + ops[k + 1 :]
+            cand_corr, cand_value = score(ket, cand_ops)
+            if cand_value >= value:
+                edge[k], ops, corr, value = moved, cand_ops, cand_corr, cand_value
+        # Each term owns its central input, so this update maximizes I_i
+        # (hence |I_i|) exactly and never decreases the objective.
+        # ``central`` is rebound, never written in place: ops[-1] is it.
+        central = _sign_eig(_steering(ws, ket, ws.parties, ops))
+        ops = ops[:-1] + [central]
+        corr, value = score(ket, ops)
 
         history.append(value)
         if value - before <= cfg.tol * max(1.0, abs(value)):
@@ -442,10 +426,13 @@ def vector_model_optimize(
     max_iters: int = 3000,
 ) -> tuple[float, VectorModel]:
     """Maximize the vector-model closed form over unit vectors in the given
-    ambient dimension by projected gradient ascent with restarts; above
-    TOTAL_DIMENSION_GUARD it raises DimensionGuard before drawing."""
+    ambient dimension by projected gradient ascent with restarts. It raises
+    OutOfRange for an ambient dimension or a restart count below 1 and
+    DimensionGuard above TOTAL_DIMENSION_GUARD, before drawing."""
     if ambient < 1:
         raise OutOfRange("ambient dimension must be at least 1")
+    if restarts < 1:
+        raise OutOfRange("restarts must be at least 1")
     if ambient > TOTAL_DIMENSION_GUARD:
         raise DimensionGuard(f"ambient {ambient} exceeds guard {TOTAL_DIMENSION_GUARD}")
     parties = f.parties

@@ -33,14 +33,27 @@ def _field(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list")
+    return value
+
+
+def _floats(obj: dict, key: str, path: str) -> np.ndarray:
+    value = _field(obj, key, path)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}.{key}: {exc}") from exc
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     arr = np.asarray(m, dtype=complex)
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 def matrix_from_json(obj: dict, path: str = "matrix") -> np.ndarray:
-    re = np.asarray(_field(obj, "re", path), dtype=float)
-    im = np.asarray(_field(obj, "im", path), dtype=float)
+    re, im = _floats(obj, "re", path), _floats(obj, "im", path)
     if re.shape != im.shape:
         raise ValueError(f"{path}: re/im shapes differ")
     return re + 1j * im
@@ -73,8 +86,9 @@ def observable_to_json(obs: Observable) -> dict:
 
 
 def observable_from_json(obj: dict, path: str = "observable") -> Observable:
+    matrix = matrix_from_json(obj, path)
     try:
-        return Observable(matrix_from_json(obj, path))
+        return Observable(matrix)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -127,18 +141,18 @@ def assignment_to_json(assignment: ObservableAssignment) -> dict:
 
 
 def assignment_from_json(obj: dict, path: str = "settings") -> ObservableAssignment:
-    edge_rows = _field(obj, "edge_observables", path)
-    central_objs = _field(obj, "central_observables", path)
+    edges = f"{path}.edge_observables"
+    centrals = f"{path}.central_observables"
     edge = tuple(
         tuple(
-            observable_from_json(o, f"{path}.edge_observables[{k}][{x}]")
-            for x, o in enumerate(row)
+            observable_from_json(o, f"{edges}[{k}][{x}]")
+            for x, o in enumerate(_list(row, f"{edges}[{k}]"))
         )
-        for k, row in enumerate(edge_rows)
+        for k, row in enumerate(_list(_field(obj, "edge_observables", path), edges))
     )
     central = tuple(
-        observable_from_json(o, f"{path}.central_observables[{i}]")
-        for i, o in enumerate(central_objs)
+        observable_from_json(o, f"{centrals}[{i}]")
+        for i, o in enumerate(_list(_field(obj, "central_observables", path), centrals))
     )
     return ObservableAssignment(edge=edge, central=central)
 

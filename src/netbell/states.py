@@ -44,11 +44,14 @@ class Observable:
 
     def __post_init__(self) -> None:
         arr = as_matrix(self.matrix)
-        if not is_hermitian(arr):
-            raise NonHermitianInput("observable matrix is not Hermitian")
-        eye = np.eye(arr.shape[0])
-        if np.max(np.abs(arr @ arr - eye)) > tol.INVOLUTION:
-            raise ValueError("observable is not an involution (A^2 != I)")
+        # Huge finite entries overflow to inf or NaN, which fail the checks
+        # as any non-involution does, without a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not is_hermitian(arr):
+                raise NonHermitianInput("observable matrix is not Hermitian")
+            square = arr @ arr - np.eye(arr.shape[0])
+            if not np.max(np.abs(square)) <= tol.INVOLUTION:
+                raise ValueError("observable is not an involution (A^2 != I)")
         object.__setattr__(self, "matrix", _frozen(arr))
 
     @property
@@ -74,29 +77,31 @@ class QuantumState:
         dims = tuple(int(d) for d in self.subsystem_dims)
         total = math.prod(dims)
         arr = np.asarray(self.data, dtype=complex)
-        # Written as "not within tolerance" so that NaN fails the checks.
-        if self.kind == "pure":
-            arr = arr.reshape(-1)
-            if arr.shape[0] != total:
-                raise DimensionMismatch(
-                    f"vector length {arr.shape[0]} != product of dims {total}"
-                )
-            if not abs(np.linalg.norm(arr) - 1.0) <= tol.UNIT_NORM:
-                raise ValueError("pure state vector is not normalized")
-        elif self.kind == "density":
-            arr = as_matrix(arr)
-            if arr.shape[0] != total:
-                raise DimensionMismatch(
-                    f"matrix dimension {arr.shape[0]} != product of dims {total}"
-                )
-            if not is_hermitian(arr):
-                raise NonHermitianInput("density matrix is not Hermitian")
-            if not abs(np.trace(arr).real - 1.0) <= tol.TRACE_ONE:
-                raise ValueError("density matrix trace is not 1")
-            if float(np.linalg.eigvalsh(arr)[0]) < tol.PSD_FLOOR:
-                raise ValueError("density matrix is not positive semidefinite")
-        else:
-            raise ValueError(f"unknown state kind {self.kind!r}")
+        # Written as "not within tolerance" so that NaN fails the checks;
+        # huge finite entries overflow to inf or NaN there, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "pure":
+                arr = arr.reshape(-1)
+                if arr.shape[0] != total:
+                    raise DimensionMismatch(
+                        f"vector length {arr.shape[0]} != product of dims {total}"
+                    )
+                if not abs(np.linalg.norm(arr) - 1.0) <= tol.UNIT_NORM:
+                    raise ValueError("pure state vector is not normalized")
+            elif self.kind == "density":
+                arr = as_matrix(arr)
+                if arr.shape[0] != total:
+                    raise DimensionMismatch(
+                        f"matrix dimension {arr.shape[0]} != product of dims {total}"
+                    )
+                if not is_hermitian(arr):
+                    raise NonHermitianInput("density matrix is not Hermitian")
+                if not abs(np.trace(arr).real - 1.0) <= tol.TRACE_ONE:
+                    raise ValueError("density matrix trace is not 1")
+                if float(np.linalg.eigvalsh(arr)[0]) < tol.PSD_FLOOR:
+                    raise ValueError("density matrix is not positive semidefinite")
+            else:
+                raise ValueError(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "data", _frozen(arr))
         object.__setattr__(self, "subsystem_dims", dims)
 

@@ -10,7 +10,6 @@ from netbell import optimize as op
 from netbell.certify import (
     _PAULI_PAIRS,
     _draw_states,
-    _root_sum_weight,
     bilocal_max_pair,
     correlation_matrix,
     correspondence_scan,
@@ -324,7 +323,13 @@ def dense_certificate(f, state, assignment):
             sign, weight = 1.0, omega
         else:
             sign = -1.0 if value_i < 0 else 1.0
-            weight = _root_sum_weight(omega, abs(value_i) / omega, f.n)
+            ratio = abs(value_i) / omega
+            # (omega^(1/n) - |I|^(1/n)) / (1 - |I|/omega), extended at
+            # |I| = omega by its limit omega^(1/n)/n.
+            if 1.0 - ratio < 1e-12:
+                weight = omega ** (1.0 / f.n) / f.n
+            else:
+                weight = omega ** (1.0 / f.n) * (1.0 - ratio ** (1.0 / f.n)) / (1.0 - ratio)
         m_op = sign * t_edge / omega - b_full
         omegas.append(omega)
         weights.append(weight)

@@ -474,6 +474,10 @@ def _first_amplitude(s, value):
     return {**s, "state": {**s["state"], "data": {**data, "re": [value] + data["re"][1:]}}}
 
 
+def _with_re(obs, re):
+    return {**obs, "re": re}
+
+
 BAD_SETTINGS = {
     "nan_amplitude": lambda s: _first_amplitude(s, math.nan),
     "inf_amplitude": lambda s: _first_amplitude(s, math.inf),
@@ -493,6 +497,24 @@ BAD_SETTINGS = {
     "central_observables_8x8": lambda s: {
         **s, "central_observables": [_widened(o) for o in s["central_observables"]]
     },
+    "edge_observables_number": lambda s: {**s, "edge_observables": 5},
+    "edge_observables_null": lambda s: {**s, "edge_observables": None},
+    "central_observables_number": lambda s: {**s, "central_observables": 5},
+    "central_observables_null": lambda s: {**s, "central_observables": None},
+    "edge_row_null": lambda s: {**s, "edge_observables": [None]},
+    "edge_observable_number": lambda s: {**s, "edge_observables": [[5, 5]]},
+    "matrix_re_object": lambda s: {
+        **s, "central_observables": [_with_re(o, {"a": 1}) for o in s["central_observables"]]
+    },
+    "matrix_re_string": lambda s: {
+        **s, "central_observables": [_with_re(o, [["abc", 0], [0, 1]])
+                                     for o in s["central_observables"]]
+    },
+    "observable_entry_1e308": lambda s: {
+        **s, "edge_observables": [[_with_re(o, [[1e308, 0], [0, -1]])
+                                   for o in s["edge_observables"][0]]]
+    },
+    "huge_amplitude": lambda s: _first_amplitude(s, 1e200),
 }
 
 
@@ -508,6 +530,22 @@ class TestInvalidInputExit2:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "invalid settings" in err
+
+    @pytest.mark.parametrize(
+        "case,field",
+        [
+            ("edge_observable_number", "settings.edge_observables[0][0]: expected an object"),
+            ("edge_row_null", "settings.edge_observables[0]: expected a list"),
+            ("matrix_re_string", "settings.central_observables[0].re: could not convert"),
+        ],
+    )
+    def test_certify_settings_names_the_field_once(self, capsys, tmp_path, case, field):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(BAD_SETTINGS[case](_chsh_settings())))
+        code, _, err = run_cli(capsys, "certify", "--expr", "chsh", "--settings", str(path))
+        assert code == 2
+        assert field in err
+        assert err.count("settings.") == 1
 
     @pytest.mark.parametrize(
         "argv,word",

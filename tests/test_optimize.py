@@ -320,6 +320,25 @@ class TestBatchedKernel:
         states = [(_Workspace(f, dims), factor)]
         assert_kernel_matches(states, ops, expected)
 
+    @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
+    def test_apply_acts_termwise_on_a_stack(self, kind, m, n):
+        # Entry t of a (T, D, r) stack gets term t's operators only, and a
+        # one-entry stack gets every term's.
+        f = build_functional(kind, m, n)
+        dims = (2,) * f.parties + (2**f.parties,)
+        edge, central, _ = random_setting(f, dims, seed=f.n_terms + 3 * n)
+        ws = _Workspace(f, dims)
+        ops = ws.slot_ops(edge, central)
+        total = math.prod(dims)
+        x = np.random.default_rng(total).standard_normal((f.n_terms, total, 3, 2)) @ [1, 1j]
+        got = ws.apply(x, ops)
+        one = ws.apply(x[:1], ops)
+        assert got.shape == one.shape == x.shape
+        for t in range(f.n_terms):
+            dense = tensor_all([op[t] for op in ops])
+            assert np.allclose(got[t], dense @ x[t], rtol=0, atol=1e-12)
+            assert np.allclose(one[t], dense @ x[0], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "dims,lanczos",
         [
@@ -429,6 +448,12 @@ class TestVectorModel:
         f = build_functional(Kind.CHSH, 2, 1)
         with pytest.raises(DimensionGuard):
             vector_model_optimize(f, ambient=TOTAL_DIMENSION_GUARD + 1)
+
+    def test_zero_restarts_refused(self):
+        # Without a restart there is no model to return.
+        f = build_functional(Kind.CHSH, 2, 1)
+        with pytest.raises(OutOfRange, match="restarts"):
+            vector_model_optimize(f, ambient=2, restarts=0)
 
     def test_party_count_must_match(self):
         # A (3, 2, 2) stack would broadcast against chsh's one party.

@@ -39,6 +39,13 @@ class TestObservable:
         with pytest.raises(ValueError):
             Observable(np.diag([1.0, 0.5]))
 
+    def test_rejects_square_that_overflows_to_nan(self):
+        # Hermitian, but A^2 has an inf - inf = NaN entry, which a ">" test
+        # would let through.
+        a = 1e200 * (1 + 1j)
+        with pytest.raises(ValueError, match="involution"):
+            Observable(np.array([[0, a], [np.conj(a), 0]]))
+
     def test_dim(self):
         assert Observable(np.kron(SIGMA_X, SIGMA_X)).dim == 4
 
