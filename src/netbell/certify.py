@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
+from .errors import DimensionGuard, DimensionMismatch, InvalidScenario, OutOfRange, ZeroNorm
 from .functionals import (
     LINEAR,
     Functional,
@@ -100,7 +100,6 @@ def bilocal_max_pair(rho_ab: QuantumState, rho_bc: QuantumState) -> float:
 
 @dataclass(frozen=True)
 class SOSReport:
-    functional: Functional
     value: float
     correlators: tuple[float, ...]
     omegas: tuple[float, ...]
@@ -179,7 +178,6 @@ def sos_certificate(
 
     bound, value = combine(f, [omegas, correlators]).tolist()
     return SOSReport(
-        functional=f,
         value=value,
         correlators=tuple(correlators.tolist()),
         omegas=tuple(omegas.tolist()),
@@ -197,6 +195,7 @@ class TrialResult:
     edge_values: tuple[float, ...]
     network_value: float
     bound: float
+    margin: float
     satisfied: bool
     both_violate: bool | None
     network_violates: bool | None
@@ -204,12 +203,6 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    family: str
-    m: int
-    n: int
-    trials: int
-    seed: int
-    edge_restarts: int
     results: tuple[TrialResult, ...]
     satisfied: bool
     implication_failures: int | None
@@ -241,24 +234,24 @@ def _fixed_state_max(
 
 
 def correspondence_scan(
-    family: str,
+    f: Functional,
     trials: int,
     seed: int,
-    m: int = 2,
-    n: int = 2,
     edge_restarts: int = 10,
     ranks: Sequence[int] = (1,),
 ) -> CorrespondenceReport:
-    """Seeded scan of the network-versus-edges bound.
+    """Seeded scan of the network-versus-edges bound for a bilocal, star
+    or xi functional ``f`` over its n sources.
 
     Per trial, random per-source two-qubit states are drawn (``ranks``
     picks the admissible density ranks; the default rank-1 draws give the
     fixed-state seesaw a one-column factor, ranks r_k give prod_k r_k);
     the per-edge bipartite maxima (closed form for two-setting edges,
-    fixed-state seesaw for cyclic edges) and the network value (closed
-    form for two sources and two settings, fixed-state seesaw otherwise)
-    are compared against the geometric-mean bound
-    network <= prod_k (edge_k)^(1/n).
+    fixed-state seesaw of the chained m-setting functional for xi edges)
+    and the network value (closed form for bilocal, fixed-state seesaw of
+    ``f`` otherwise) are compared against the geometric-mean bound
+    network <= prod_k (edge_k)^(1/n). Each trial's ``margin`` is
+    bound - network_value.
 
     The two routes maximize over different observable classes. The closed
     forms range over traceless qubit observables a.sigma, and
@@ -270,20 +263,17 @@ def correspondence_scan(
     star trial therefore compares an all-involution network value with
     traceless-only edge values.
 
-    ``m`` and ``n`` must define the family's functional (bilocal is
-    m = n = 2, star has m = 2); otherwise InvalidScenario is raised.
-    ``ranks`` must be non-empty with every entry in 1..4; otherwise
-    OutOfRange is raised, so a rank that no trial happens to draw is
-    refused too. DimensionGuard is raised when the n sources span more
-    than TOTAL_DIMENSION_GUARD dimensions. All three are checked before
-    any state is drawn.
+    Before any state is drawn: OutOfRange is raised for fewer than one
+    trial or edge restart, and for ``ranks`` that are empty or hold an
+    entry outside 1..4, so a rank that no trial happens to draw is refused
+    too; InvalidScenario for a functional of another kind; DimensionGuard
+    when the n sources span more than TOTAL_DIMENSION_GUARD dimensions.
 
-    For the two-source closed-form family the scan additionally records
-    whether "both edges beat the local bound implies the network does"
-    held. That implication is a theorem for pure sources (the top
-    correlation singular value is then 1); mixed-rank pairs with strongly
-    mismatched singular-value profiles can defeat it, which the report
-    counts rather than hides.
+    For bilocal the scan additionally records whether "both edges beat
+    the local bound implies the network does" held. That implication is a
+    theorem for pure sources (the top correlation singular value is then
+    1); mixed-rank pairs with strongly mismatched singular-value profiles
+    can defeat it, which the report counts rather than hides.
     """
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
@@ -291,11 +281,10 @@ def correspondence_scan(
         raise OutOfRange("edge restarts must be at least 1")
     if not ranks or any(r not in (1, 2, 3, 4) for r in ranks):
         raise OutOfRange(f"ranks must be a non-empty list in 1..4, got {list(ranks)}")
-    if family not in ("bilocal", "star", "xi"):
-        raise ValueError(f"unknown family {family!r}")
-    # Rejects the (m, n) that do not define the family's functional:
-    # bilocal is m = n = 2 and star has m = 2.
-    net_f = build_functional(Kind(family), m, n)
+    if f.kind not in (Kind.BILOCAL, Kind.STAR, Kind.XI):
+        raise InvalidScenario(f"no correspondence scan for {f.kind.value}; "
+                              f"it covers bilocal, star and xi")
+    n = f.n
     # n two-qubit sources span 4^n dimensions; check before any state,
     # since the product density alone is (4^n) x (4^n).
     if 4**n > TOTAL_DIMENSION_GUARD:
@@ -303,56 +292,49 @@ def correspondence_scan(
             f"total dimension {4**n} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 
+    bilocal = f.kind is Kind.BILOCAL
     results = []
-    implication_failures = 0 if family == "bilocal" else None
+    implication_failures = 0 if bilocal else None
     children = np.random.SeedSequence(seed).spawn(trials)
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
         states = _draw_states(rng, n, ranks)
 
-        if family == "xi":
-            edge_f = build_functional(Kind.CHAINED, m, 1)
+        if f.kind is Kind.XI:
+            edge_f = build_functional(Kind.CHAINED, f.m, 1)
             edge_values = tuple(
                 _fixed_state_max(edge_f, s, edge_restarts, int(rng.integers(2**63)))
                 for s in states
             )
         else:
             edge_values = tuple(horodecki_chsh_max(s) for s in states)
-        if family == "bilocal":
+        if bilocal:
             network = bilocal_max_pair(states[0], states[1])
         else:
             network = _fixed_state_max(
-                net_f, network_product_state(states), edge_restarts,
-                int(rng.integers(2**63)),
+                f, network_product_state(states), edge_restarts, int(rng.integers(2**63))
             )
 
         bound = float(np.prod([v ** (1.0 / n) for v in edge_values]))
-        satisfied = network <= bound + 1e-9
         both = net_violates = None
-        if family == "bilocal":
-            both = bool(all(v > 2.0 for v in edge_values))
-            net_violates = bool(network > 2.0)
+        if bilocal:
+            both, net_violates = all(v > 2.0 for v in edge_values), network > 2.0
             if both and not net_violates:
                 implication_failures += 1
         results.append(
             TrialResult(
                 trial=t,
                 edge_values=edge_values,
-                network_value=float(network),
+                network_value=network,
                 bound=bound,
-                satisfied=bool(satisfied),
+                margin=bound - network,
+                satisfied=network <= bound + 1e-9,
                 both_violate=both,
                 network_violates=net_violates,
             )
         )
 
     return CorrespondenceReport(
-        family=family,
-        m=m,
-        n=n,
-        trials=trials,
-        seed=seed,
-        edge_restarts=edge_restarts,
         results=tuple(results),
         satisfied=all(r.satisfied for r in results),
         implication_failures=implication_failures,

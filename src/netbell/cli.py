@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 import tempfile
 import time
-
-import numpy as np
 
 from . import __version__, serialize
 from .certify import correspondence_scan, sos_certificate
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .functionals import (
     BIPARTITE_KINDS,
+    Functional,
     Kind,
     build_functional,
     classical_bound,
@@ -108,17 +108,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _resolve_n(expr: str, n: int | None) -> int:
-    """The given --n; without one, 1 for bipartite kinds and 2 otherwise.
-    A value the kind does not admit is left for build_functional to reject."""
-    if n is not None:
-        return n
-    return 1 if Kind(expr) in BIPARTITE_KINDS else 2
-
-
-def _build_functional_from_args(args) -> "Functional":
-    n = _resolve_n(args.expr, args.n)
-    return build_functional(Kind(args.expr), args.m, n)
+def _functional(kind: str, m: int, n: int | None) -> Functional:
+    """The functional of a command line's scenario. Without --n, n is 1
+    for bipartite kinds and 2 otherwise; a value the kind does not admit
+    is left for build_functional to reject."""
+    if n is None:
+        n = 1 if Kind(kind) in BIPARTITE_KINDS else 2
+    return build_functional(Kind(kind), m, n)
 
 
 def _record(command, f, seed, value, artifacts=None, note=None, started=0.0) -> dict:
@@ -159,17 +155,13 @@ def _seesaw_config(args) -> SeesawConfig:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    f = _build_functional_from_args(args)
+    f = _functional(args.expr, args.m, args.n)
     vector, run = args.model == "vector", f"--model {args.model}"
     _settle_options(args, {"ambient": f.m}, vector, run)
     _settle_options(args, SEESAW_DEFAULTS, not vector, run)
     if vector:
-        value, model = vector_model_optimize(f, ambient=args.ambient, seed=args.seed)
-        artifacts = {
-            "model": "vector",
-            "ambient": args.ambient,
-            "vectors": np.asarray(model.vectors).tolist(),
-        }
+        value, vectors = vector_model_optimize(f, ambient=args.ambient, seed=args.seed)
+        artifacts = {"model": "vector", "ambient": args.ambient, "vectors": vectors.tolist()}
     else:
         result = seesaw_optimize(f, _seesaw_config(args))
         artifacts = {
@@ -187,7 +179,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_bound(args) -> int:
     started = time.perf_counter()
-    f = _build_functional_from_args(args)
+    f = _functional(args.expr, args.m, args.n)
     note = SIGN_FAMILY_NOTE if f.kind in (Kind.GM, Kind.DELTA) else None
     formula = classical_bound(f)
     sample, run = args.method == "sample", f"--method {args.method}"
@@ -221,7 +213,7 @@ def _load_settings(path: str):
 
 def cmd_certify(args) -> int:
     started = time.perf_counter()
-    f = _build_functional_from_args(args)
+    f = _functional(args.expr, args.m, args.n)
     if not args.settings and not args.at_optimum:
         print("certify needs --settings FILE or --at-optimum", file=sys.stderr)
         return EXIT_USAGE
@@ -272,55 +264,32 @@ def cmd_certify(args) -> int:
 
 def cmd_correspondence(args) -> int:
     started = time.perf_counter()
-    family = args.family
     m = args.m
     if m is None:
-        m = 3 if family == "xi" else 2
-    report = correspondence_scan(
-        family,
-        trials=args.trials,
-        seed=args.seed,
-        m=m,
-        n=_resolve_n(family, args.n),
-        edge_restarts=args.edge_restarts,
-        ranks=args.ranks,
-    )
-    f = build_functional(Kind(family), report.m, report.n)
-    rows = [
-        {
-            "trial": r.trial,
-            "edge_values": list(r.edge_values),
-            "network_value": r.network_value,
-            "bound": r.bound,
-            "margin": r.bound - r.network_value,
-            "satisfied": r.satisfied,
-            "both_violate": r.both_violate,
-            "network_violates": r.network_violates,
-        }
-        for r in report.results
-    ]
-    min_margin = min(row["margin"] for row in rows)
+        m = 3 if args.family == "xi" else 2
+    f = _functional(args.family, m, args.n)
+    report = correspondence_scan(f, args.trials, args.seed, args.edge_restarts, args.ranks)
+    min_margin = min(r.margin for r in report.results)
     artifacts = {
-        "family": report.family,
-        "trials": report.trials,
-        "edge_restarts": report.edge_restarts,
+        "family": args.family,
+        "trials": args.trials,
+        "edge_restarts": args.edge_restarts,
         "ranks": list(args.ranks),
         "satisfied": report.satisfied,
         "implication_failures": report.implication_failures,
         "min_margin": min_margin,
-        "results": rows,
+        "results": [dataclasses.asdict(r) for r in report.results],
     }
     record = _record("correspondence", f, args.seed, min_margin, artifacts, started=started)
     if args.out:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        edge_cols = [f"edge_{k + 1}" for k in range(report.n)]
+        edge_cols = [f"edge_{k + 1}" for k in range(f.n)]
         writer.writerow(["trial", "seed"] + edge_cols + ["network", "bound", "margin"])
         for r in report.results:
             writer.writerow(
-                [r.trial, report.seed]
-                + [repr(v) for v in r.edge_values]
-                + [repr(r.network_value), repr(r.bound), repr(r.bound - r.network_value)]
+                [r.trial, args.seed]
+                + [repr(v) for v in (*r.edge_values, r.network_value, r.bound, r.margin)]
             )
         try:
             _atomic_write(args.out, buf.getvalue())

@@ -122,8 +122,9 @@ class Functional:
 
     @property
     def parties(self) -> int:
-        """Number of edge parties: one for bipartite kinds, n otherwise."""
-        return 1 if self.kind in BIPARTITE_KINDS else self.n
+        """Number of edge parties, n: construction already holds the
+        bipartite kinds to n = 1."""
+        return self.n
 
     def signed_sums(self, party: int, observables: Sequence[np.ndarray]) -> np.ndarray:
         """Per-term signed observable sums sum_x c[t, x] A_x of one edge

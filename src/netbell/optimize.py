@@ -47,6 +47,7 @@ from .states import (
 TOTAL_DIMENSION_GUARD = 2**12
 _DENSE_EIG_LIMIT = 128
 _WEIGHT_CLAMP = 1e-9
+_ASCENT_ITERS = 3000
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,6 @@ class OptimizationResult:
     history: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class VectorModel:
-    """Per edge party, m real unit vectors in a shared ambient space."""
-
-    vectors: np.ndarray  # (parties, m, ambient)
-
-
 def _sign_eig(h: np.ndarray) -> np.ndarray:
     """Eigenvalue-wise sign of the Hermitian part of h, or of every matrix
     in a (..., d, d) stack; zero eigenvalues map to +1."""
@@ -119,7 +113,7 @@ class _Workspace:
     def __init__(self, f: Functional, dims: tuple[int, ...]):
         self.f = f
         self.dims = dims
-        self.parties = len(dims) - 1
+        self.parties = f.parties
         # (before, slot, rest) around each slot; rest also holds the r columns.
         self.splits = [(math.prod(dims[:j]), d) for j, d in enumerate(dims)]
 
@@ -388,11 +382,11 @@ def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / np.where(norms < 1e-300, 1.0, norms)
 
 
-def _ascend(f: Functional, v0: np.ndarray, max_iters: int) -> tuple[float, np.ndarray]:
+def _ascend(f: Functional, v0: np.ndarray) -> tuple[float, np.ndarray]:
     v = v0
     value = vector_model_value(f, v)
     step = 0.5
-    for _ in range(max_iters):
+    for _ in range(_ASCENT_ITERS):
         grad = _vector_gradient(f, v)
         improved = False
         for _ in range(60):
@@ -423,10 +417,12 @@ def vector_model_optimize(
     ambient: int,
     seed: int = 0,
     restarts: int = 12,
-    max_iters: int = 3000,
-) -> tuple[float, VectorModel]:
+) -> tuple[float, np.ndarray]:
     """Maximize the vector-model closed form over unit vectors in the given
-    ambient dimension by projected gradient ascent with restarts. It raises
+    ambient dimension by projected gradient ascent with restarts, each of
+    at most _ASCENT_ITERS steps. Returns the best value and its (parties,
+    m, ambient) configuration of real unit vectors, one row of m per edge
+    party, which ``realize`` turns into a state and assignment. It raises
     OutOfRange for an ambient dimension or a restart count below 1 and
     DimensionGuard above TOTAL_DIMENSION_GUARD, before drawing."""
     if ambient < 1:
@@ -440,10 +436,10 @@ def vector_model_optimize(
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         v0 = _normalize_rows(rng.standard_normal((parties, f.m, ambient)))
-        value, v = _ascend(f, v0, max_iters)
+        value, v = _ascend(f, v0)
         if value > best_value:
             best_value, best_v = value, v
-    return best_value, VectorModel(vectors=best_v)
+    return best_value, best_v
 
 
 def realize(f: Functional, vectors: np.ndarray) -> tuple[QuantumState, ObservableAssignment]:

@@ -40,10 +40,19 @@ def _list(value, path: str) -> list:
 
 
 def _floats(obj: dict, key: str, path: str) -> np.ndarray:
+    """The field as a float array. Every leaf must be a JSON number: numpy
+    would also convert a numeric string or a boolean."""
     value = _field(obj, key, path)
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(reversed(leaf))
+        elif type(leaf) not in (int, float):
+            raise ValueError(f"{path}.{key}: could not convert {leaf!r} to a number")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # ragged lists
         raise ValueError(f"{path}.{key}: {exc}") from exc
 
 
@@ -74,11 +83,12 @@ def state_from_json(obj: dict, path: str = "state") -> QuantumState:
         raise ValueError(f"{path}.subsystem_dims: must be a list of positive "
                          f"integers, got {dims!r}")
     data = matrix_from_json(_field(obj, "data", path), f"{path}.data")
-    if kind == "pure":
-        return QuantumState.pure(data.reshape(-1), dims)
-    if kind == "density":
-        return QuantumState.density(data, dims)
-    raise ValueError(f"{path}.kind: must be 'pure' or 'density'")
+    if kind not in ("pure", "density"):
+        raise ValueError(f"{path}.kind: must be 'pure' or 'density'")
+    try:
+        return QuantumState(kind, data, tuple(dims))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def observable_to_json(obs: Observable) -> dict:

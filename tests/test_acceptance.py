@@ -87,12 +87,12 @@ def test_criterion_3_gm_optimum():
     f4 = build_functional(Kind.GM, 4, 1)
     cfg = SeesawConfig(edge_dim=2, restarts=50, seed=11, tol=1e-15, max_iters=600)
     restricted = seesaw_optimize(f4, cfg).value
-    ambient3, model = vector_model_optimize(f4, ambient=3, seed=11, restarts=20)
+    ambient3, vectors = vector_model_optimize(f4, ambient=3, seed=11, restarts=20)
     assert restricted < 16.0
     assert restricted == pytest.approx(ambient3, abs=1e-3)
     # The ambient-3 optimum, realized on qubits, is certified optimal there.
     assert ambient3 == pytest.approx(15.4548, abs=1e-4)
-    cert = sos_certificate(f4, *op.realize(f4, model.vectors))
+    cert = sos_certificate(f4, *op.realize(f4, vectors))
     assert cert.value == pytest.approx(ambient3, abs=1e-10)
     assert abs(cert.gap) <= 1e-10 and cert.gamma_min_eig >= -1e-10
     report(
@@ -138,7 +138,7 @@ def test_criterion_4_classical_bounds_by_enumeration(capsys):
 
 def test_criterion_5_bilocal_correspondence():
     t0 = time.perf_counter()
-    rep = correspondence_scan("bilocal", trials=1000, seed=7)
+    rep = correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=1000, seed=7)
     elapsed = time.perf_counter() - t0
     for r in rep.results:
         assert r.network_value <= r.bound + 1e-9

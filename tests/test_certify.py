@@ -16,7 +16,7 @@ from netbell.certify import (
     horodecki_chsh_max,
     sos_certificate,
 )
-from netbell.errors import DimensionMismatch, OutOfRange, ZeroNorm
+from netbell.errors import DimensionMismatch, InvalidScenario, OutOfRange, ZeroNorm
 from netbell.functionals import (
     LINEAR,
     Kind,
@@ -459,14 +459,14 @@ def test_gap_is_weighted_squared_residuals(kind, seed):
 
 class TestCorrespondenceScan:
     def test_bilocal_pure_pairs(self):
-        rep = correspondence_scan("bilocal", trials=200, seed=7)
+        rep = correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=200, seed=7)
         assert rep.satisfied
         assert rep.implication_failures == 0
         for r in rep.results:
             assert r.network_value <= r.bound + 1e-9
 
     def test_bilocal_mixed_ranks_bound_holds(self):
-        rep = correspondence_scan("bilocal", trials=200, seed=7, ranks=(1, 2, 3, 4))
+        rep = correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=200, seed=7, ranks=(1, 2, 3, 4))
         assert rep.satisfied
 
     def test_equality_at_maximal_entanglement(self):
@@ -477,17 +477,17 @@ class TestCorrespondenceScan:
         assert network == pytest.approx(2 * SQ2, abs=1e-6)
 
     def test_star_scan(self):
-        rep = correspondence_scan("star", trials=4, seed=3, n=2, edge_restarts=6)
+        rep = correspondence_scan(build_functional(Kind.STAR, 2, 2), trials=4, seed=3, edge_restarts=6)
         assert rep.satisfied
         assert rep.implication_failures is None
 
     def test_xi_scan(self):
-        rep = correspondence_scan("xi", trials=3, seed=3, m=3, n=2, edge_restarts=6)
+        rep = correspondence_scan(build_functional(Kind.XI, 3, 2), trials=3, seed=3, edge_restarts=6)
         assert rep.satisfied
 
     def test_invalid_family(self):
-        with pytest.raises(ValueError):
-            correspondence_scan("triangle", trials=1, seed=0)
+        with pytest.raises(InvalidScenario):
+            correspondence_scan(build_functional(Kind.CHSH, 2, 1), trials=1, seed=0)
 
     @pytest.mark.parametrize("ranks", [(), (0,), (1, 7), (5, 1)])
     def test_ranks_checked_before_any_draw(self, ranks, monkeypatch):
@@ -496,4 +496,4 @@ class TestCorrespondenceScan:
             certify_mod, "_draw_states", lambda *a: pytest.fail("drew a state")
         )
         with pytest.raises(OutOfRange, match="ranks"):
-            correspondence_scan("bilocal", trials=1, seed=5, ranks=ranks)
+            correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=1, seed=5, ranks=ranks)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -452,6 +453,22 @@ class TestCertifyCommand:
         assert code == 5
         assert "undefined" in err
 
+    def test_failed_certificate_exit_5(self, capsys, monkeypatch):
+        import netbell.cli as cli_mod
+
+        real = cli_mod.sos_certificate
+        monkeypatch.setattr(
+            cli_mod, "sos_certificate",
+            lambda *args: dataclasses.replace(real(*args), gap=-1.0),
+        )
+        code, out, err = run_cli(
+            capsys, "certify", "--expr", "chsh", "--at-optimum", "--restarts", "1"
+        )
+        assert code == 5
+        assert record_of(out)["artifacts"]["gap"] == -1.0
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("certificate failure: gap=-1.0")
+
 
 def _chsh_settings():
     state, assignment = optimal_assignment(build_functional(Kind.CHSH, 2, 1))
@@ -515,6 +532,19 @@ BAD_SETTINGS = {
                                    for o in s["edge_observables"][0]]]
     },
     "huge_amplitude": lambda s: _first_amplitude(s, 1e200),
+    # numpy converts numeric strings and booleans; JSON numbers only.
+    "observable_numeric_string": lambda s: {
+        **s, "central_observables": [_with_re(o, [[str(v) for v in row] for row in o["re"]])
+                                     for o in s["central_observables"]]
+    },
+    "observable_true": lambda s: {
+        **s, "edge_observables": [[_with_re(s["edge_observables"][0][0],
+                                            [[0.0, True], [True, 0.0]]),
+                                   s["edge_observables"][0][1]]]
+    },
+    "state_re_true": lambda s: {
+        **s, "state": {**s["state"], "data": {**s["state"]["data"], "re": [True, 0.0, 0.0, 0.0]}}
+    },
 }
 
 
@@ -537,6 +567,10 @@ class TestInvalidInputExit2:
             ("edge_observable_number", "settings.edge_observables[0][0]: expected an object"),
             ("edge_row_null", "settings.edge_observables[0]: expected a list"),
             ("matrix_re_string", "settings.central_observables[0].re: could not convert"),
+            ("nan_amplitude",
+             "invalid settings file: settings.state: pure state vector is not normalized"),
+            ("observable_true", "settings.edge_observables[0][0].re: could not convert True"),
+            ("state_re_true", "settings.state.data.re: could not convert True"),
         ],
     )
     def test_certify_settings_names_the_field_once(self, capsys, tmp_path, case, field):
@@ -720,6 +754,21 @@ class TestCorrespondenceCommand:
         assert lines[0] == "trial,seed,edge_1,edge_2,network,bound,margin"
         assert len(lines) == 51
 
+    def test_implication_failure_is_counted(self, capsys):
+        # Trial 47 draws mixed sources whose edges both beat 2 while the
+        # class-O network value does not; the bound itself still holds.
+        code, out, _ = run_cli(
+            capsys, "correspondence", "--family", "bilocal", "--ranks", "1,2,3,4",
+            "--trials", "48", "--seed", "0",
+        )
+        assert code == 0
+        art = record_of(out)["artifacts"]
+        assert art["satisfied"] is True
+        assert art["implication_failures"] == 1
+        failed = [r["trial"] for r in art["results"]
+                  if r["both_violate"] and not r["network_violates"]]
+        assert failed == [47]
+
     def test_unwritable_csv_exit_2(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(
@@ -766,19 +815,14 @@ class TestCorrespondenceCommand:
         import netbell.certify as certify_mod
         import netbell.cli as cli_mod
 
-        real = certify_mod.correspondence_scan
-
         def rigged(*args, **kwargs):
-            rep = real(*args, **kwargs)
             bad = certify_mod.TrialResult(
                 trial=0, edge_values=(2.0, 2.0), network_value=3.0,
-                bound=2.0, satisfied=False, both_violate=None,
+                bound=2.0, margin=-1.0, satisfied=False, both_violate=None,
                 network_violates=None,
             )
             return certify_mod.CorrespondenceReport(
-                family=rep.family, m=rep.m, n=rep.n, trials=1, seed=rep.seed,
-                edge_restarts=rep.edge_restarts, results=(bad,),
-                satisfied=False, implication_failures=None,
+                results=(bad,), satisfied=False, implication_failures=None,
             )
 
         monkeypatch.setattr(cli_mod, "correspondence_scan", rigged)

@@ -55,8 +55,9 @@ class TestModelStrategyBridge:
 
 class TestScanDeterminism:
     def test_same_seed_same_report(self):
-        a = correspondence_scan("bilocal", trials=20, seed=5)
-        b = correspondence_scan("bilocal", trials=20, seed=5)
+        f = build_functional(Kind.BILOCAL, 2, 2)
+        a = correspondence_scan(f, trials=20, seed=5)
+        b = correspondence_scan(f, trials=20, seed=5)
         assert a == b
 
 

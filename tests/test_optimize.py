@@ -153,6 +153,12 @@ class TestSeesaw:
         value, _ = eval_functional(f, rho, res.observables)
         assert value == pytest.approx(res.value, abs=1e-10)
 
+    def test_fixed_state_with_wrong_slot_count(self):
+        f = build_functional(Kind.STAR, 2, 3)
+        rho = network_product_state([random_two_qubit_density(k, 1) for k in range(2)])
+        with pytest.raises(DimensionMismatch, match="fixed state must have 4 slots, got 3"):
+            seesaw_optimize(f, SeesawConfig(restarts=1), fixed_state=rho)
+
     def test_chsh_fixed_point_anticommutation(self):
         _, res = run_seesaw(Kind.CHSH, 2, 1)
         x1 = res.observables.edge[0][0].matrix
@@ -400,9 +406,9 @@ class TestBatchedKernel:
 class TestVectorModel:
     def test_chsh_orthogonal_vectors(self):
         f = build_functional(Kind.CHSH, 2, 1)
-        value, model = vector_model_optimize(f, ambient=2, seed=0)
+        value, vectors = vector_model_optimize(f, ambient=2, seed=0)
         assert value == pytest.approx(2 * SQ2, abs=1e-9)
-        v1, v2 = model.vectors[0]
+        v1, v2 = vectors[0]
         assert abs(np.dot(v1, v2)) <= 1e-4
 
     def test_chained_m5(self):
@@ -412,9 +418,9 @@ class TestVectorModel:
 
     def test_gm4_full_and_restricted_ambient(self):
         f = build_functional(Kind.GM, 4, 1)
-        full, model = vector_model_optimize(f, ambient=4, seed=0)
+        full, vectors = vector_model_optimize(f, ambient=4, seed=0)
         assert full == pytest.approx(16.0, abs=1e-8)
-        gram = model.vectors[0] @ model.vectors[0].T
+        gram = vectors[0] @ vectors[0].T
         assert np.allclose(gram, np.eye(4), atol=1e-4)  # orthonormal frame
         restricted, _ = vector_model_optimize(f, ambient=3, seed=0)
         assert restricted < full - 0.5
