@@ -39,6 +39,7 @@ from .optimize import (
     TOTAL_DIMENSION_GUARD,
     SeesawConfig,
     _extreme_eig,
+    _norms,
     _Workspace,
     seesaw_optimize,
 )
@@ -169,7 +170,7 @@ def sos_certificate(
         return s * ws.apply(x, edge_ops) / o - ws.apply(x, central_ops)
 
     m_k = residual(factor).reshape(f.n_terms, -1)
-    residuals = np.sqrt(np.vecdot(m_k.real, m_k.real) + np.vecdot(m_k.imag, m_k.imag))
+    residuals = _norms(m_k)
     shift = weights.sum()  # moves gamma's minimum, about 0, away from 0 for ARPACK
 
     def gamma(v):

@@ -207,7 +207,10 @@ def cmd_bound(args) -> int:
 
 def _load_settings(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     return serialize.settings_from_json(obj)
 
 

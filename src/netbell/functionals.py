@@ -128,9 +128,10 @@ class Functional:
 
     def signed_sums(self, party: int, observables: Sequence[np.ndarray]) -> np.ndarray:
         """Per-term signed observable sums sum_x c[t, x] A_x of one edge
-        party, stacked as (terms, d, d); all-zero rows give zero matrices."""
+        party, stacked as (terms, d, d); all-zero rows give zero matrices.
+        An (..., m, d, d) stack of observables gives (..., terms, d, d)."""
         return np.einsum(
-            "tx,xab->tab",
+            "tx,...xab->...tab",
             self.coefficients[party],
             np.asarray(observables, dtype=complex),
         )

@@ -105,9 +105,9 @@ class _Workspace:
     pure state, rank(rho) for a density. Every contraction carries all r
     columns, so the cost grows with the rank.
 
-    Operators travel as one (T, d, d) stack per slot: ``ops[j][t]`` is term
-    t's operator on slot j (its signed observable sum on an edge slot, its
-    central observable on the last slot), and ``None`` leaves a slot alone.
+    Operators travel as one (..., T, d, d) stack per slot, any restart axis
+    first: ``ops[j][..., t, :, :]`` is term t's operator on slot j (a signed
+    sum on an edge slot, a central observable on the last); ``None`` skips it.
     """
 
     def __init__(self, f: Functional, dims: tuple[int, ...]):
@@ -121,88 +121,108 @@ class _Workspace:
         return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [central]
 
     def apply(self, x: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
-        """Stack over t of (ops[0][t] x ... x ops[-1][t]) x[t] for a (1 or T,
-        D, ...) stack x, one batched matmul per slot; a one-entry stack is
-        applied to every term. The result has x's shape with T leading."""
-        out = x
+        """Stack over t of (ops[0][t] x ... x ops[-1][t]) x[t], one batched
+        matmul per slot, for (..., T, d, d) operator stacks and a (..., 1 or
+        T, D, ...) stack x with the same leading axes; a one-entry term axis
+        is applied to every term. The result has x's shape with T leading D."""
+        out, lead = x, ()
         for (pre, d), op in zip(self.splits, ops):
             if op is not None:
-                out = op[:, None] @ out.reshape(len(out), pre, d, -1)
-        return out.reshape(len(out), *x.shape[1:])
+                lead = out.shape[: op.ndim - 2]
+                out = op[..., None, :, :] @ out.reshape(lead + (pre, d, -1))
+        return out.reshape(out.shape[: len(lead)] + x.shape[len(lead) :])
 
 
-def _correlators(ws: _Workspace, ket: np.ndarray, ops) -> list[float]:
-    phi = ws.apply(ket[None], ops)
-    return (phi.reshape(ws.f.n_terms, -1) @ ket.conj().reshape(-1)).real.tolist()
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v, with np.linalg.norm's bits per row."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _correlators(ws: _Workspace, ket: np.ndarray, ops) -> np.ndarray:
+    """(R, T) correlators of an (R, D, r) stack of factors or one (1, D, r)."""
+    phi = ws.apply(ket[:, None], ops)
+    return (phi.reshape(phi.shape[:2] + (-1,)) @ ket.conj().reshape(len(ket), -1, 1))[..., 0].real
 
 
 def _steering(ws: _Workspace, ket: np.ndarray, slot: int, ops) -> np.ndarray:
-    """(T, d, d) steering stack H with Tr(A H[t]) the correlator of
-    A (x) ops[t], A acting on ``slot`` in place of ``ops[slot]``."""
+    """(R, T, d, d) steering stack H with Tr(A H[r, t]) the correlator of
+    A (x) ops[r, t], A acting on ``slot`` in place of ``ops[slot]``."""
     pre, d = ws.splits[slot]
-    phi = ws.apply(ket[None], ops[:slot] + [None] + ops[slot + 1 :])
-    phi = phi.reshape(len(phi), pre, d, -1)
-    return np.einsum("tpaq,pzq->taz", phi, ket.reshape(pre, d, -1).conj())
+    phi = ws.apply(ket[:, None], ops[:slot] + [None] + ops[slot + 1 :])
+    phi = phi.reshape(phi.shape[:2] + (pre, d, -1))
+    return np.einsum("...tpaq,...pzq->...taz", phi, ket.reshape(len(ket), pre, d, -1).conj())
 
 
-def _weights(f: Functional, correlators: Sequence[float]) -> np.ndarray:
+def _weights(f: Functional, correlators: np.ndarray) -> np.ndarray:
+    """Combiner gradient at a (..., T) correlator stack, 0 below _WEIGHT_CLAMP;
+    a row left with no weight takes the correlators' signs. float_power is
+    C pow, as is Python's ``**``; numpy's SIMD ``**`` is not."""
     if f.combiner == LINEAR:
-        return np.ones(len(correlators))
-    out = np.zeros(len(correlators))
-    for i, v in enumerate(correlators):
-        if abs(v) >= _WEIGHT_CLAMP:
-            out[i] = abs(v) ** (1.0 / f.n - 1.0) * np.sign(v) / f.n
-    return out
+        return np.ones(correlators.shape)
+    a = np.abs(correlators)
+    live = a >= _WEIGHT_CLAMP
+    grad = np.float_power(np.where(live, a, 1.0), 1.0 / f.n - 1.0) * np.sign(correlators) / f.n
+    w = np.where(live, grad, 0.0)
+    return np.where(np.any(w, axis=-1, keepdims=True), w, np.where(correlators < 0, -1.0, 1.0))
 
 
 def _extreme_eig(apply, total: int, which: str, v0: np.ndarray | None = None):
     """Largest ("LA") or smallest ("SA") eigenpair of the Hermitian v -> apply(v)
-    on C^total: dense eigh of apply(I) up to _DENSE_EIG_LIMIT, else Lanczos
-    from v0 or, when None, a fixed seeded start. ARPACK's stopping test is
-    relative to the eigenvalue, so shift an operator whose extreme one is 0."""
+    on C^total: dense eigh of apply(I), which may be a stack, up to
+    _DENSE_EIG_LIMIT, else Lanczos from v0 or, when None, a fixed seeded
+    start. ARPACK's stopping test is relative to the eigenvalue, so shift
+    an operator whose extreme one is 0."""
     if total <= _DENSE_EIG_LIMIT:
         vals, vecs = np.linalg.eigh(apply(np.eye(total)))
         k = -1 if which == "LA" else 0
-        return vals[k], vecs[:, k]
+        return vals[..., k], vecs[..., k]
     import scipy.sparse.linalg  # only this branch needs scipy
     if v0 is None:
         v0 = np.random.default_rng(0).standard_normal((total, 2)) @ [1, 1j]
     op = scipy.sparse.linalg.LinearOperator((total, total), matvec=apply, dtype=complex)
+    # eigsh hands a complex operator to eigs without its rng, and ARPACK's
+    # replacement start vectors then come from OS entropy; calling eigs
+    # with a fixed rng keeps every solve reproducible.
+    which = "LR" if which == "LA" else "SR"
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which=which, v0=v0)
+        vals, vecs = scipy.sparse.linalg.eigs(op, k=1, which=which, v0=v0, rng=0)
     except scipy.sparse.linalg.ArpackNoConvergence:
         # A start vector that is already an extreme eigenvector to rounding
         # (the state at an optimum) can leave a residual ARPACK's default
         # machine-precision tolerance never accepts.
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            op, k=1, which=which, v0=v0, tol=tol.LANCZOS_RETRY
+        vals, vecs = scipy.sparse.linalg.eigs(
+            op, k=1, which=which, v0=v0, tol=tol.LANCZOS_RETRY, rng=0
         )
-    return vals[0], vecs[:, 0]
+    return vals[0].real, vecs[:, 0]
 
 
 def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """Top eigenvector of the linearized Bell operator sum_t w[t] ops[t]."""
+    """(R, D) top eigenvectors of the linearized Bell operators
+    sum_t w[r, t] ops[r, t]: one stacked dense eigh up to the dense limit,
+    else one Lanczos solve per restart r, started from psi0[r]."""
+    if len(w) > 1 and math.prod(ws.dims) > _DENSE_EIG_LIMIT:
+        rows = (slice(r, r + 1) for r in range(len(w)))
+        return np.concatenate([_top_eigvec(ws, [op[s] for op in ops], w[s], psi0[s]) for s in rows])
 
     def bell(v):
-        return np.tensordot(w, ws.apply(v[None], ops), axes=1)
+        x = ws.apply(v[None, None], ops)
+        return (w[:, None] @ x.reshape(w.shape + (-1,)))[:, 0].reshape((len(w),) + v.shape)
 
-    vec = _extreme_eig(bell, math.prod(ws.dims), "LA", psi0)[1]
-    pivot = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.conj(vec[pivot]) / abs(vec[pivot]))
-    return vec / np.linalg.norm(vec)
+    vec = _extreme_eig(bell, math.prod(ws.dims), "LA", psi0[0])[1].reshape(psi0.shape)
+    p = np.take_along_axis(vec, np.argmax(np.abs(vec), axis=-1)[:, None], -1)
+    vec = vec * (np.conj(p) / np.hypot(p.real, p.imag))
+    return vec / _norms(vec)[:, None]
 
 
 def _edge_update(
     ws: _Workspace, k: int, observables: np.ndarray, w: np.ndarray, steer: np.ndarray
 ) -> np.ndarray:
-    """Best response of edge party k's (m, d, d) observables to the (T, d, d)
-    steering stack under term weights w. A setting whose weighted
-    coefficients w[t] C_k[t, x] all vanish is left unchanged."""
-    wc = w[:, None] * ws.f.coefficients[k]
-    moved = np.any(wc != 0, axis=0)
-    out = observables.copy()
-    out[moved] = _sign_eig(np.einsum("tx,tab->xab", wc[:, moved], steer))
-    return out
+    """Best response of edge party k's (R, m, d, d) observables to the
+    (R, T, d, d) steering stack under (R, T) term weights w. A setting whose
+    weighted coefficients w[r, t] C_k[t, x] all vanish is left unchanged."""
+    wc = w[..., None] * ws.f.coefficients[k]
+    moved = np.any(wc != 0, axis=-2)[..., None, None]
+    return np.where(moved, _sign_eig(np.einsum("rtx,rtab->rxab", wc, steer)), observables)
 
 
 def _random_involution(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,27 +235,36 @@ def _random_involution(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (q * signs) @ q.conj().T
 
 
-def _seesaw_single(
+def _pick(take: np.ndarray, new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> list:
+    """Per restart on the leading axis, each array of ``new`` where ``take``,
+    else the matching array of ``old``."""
+    return [np.where(take.reshape((-1,) + (1,) * (a.ndim - 1)), a, b) for a, b in zip(new, old)]
+
+
+def _seesaw_lockstep(
     f: Functional,
     ws: _Workspace,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     cfg: SeesawConfig,
     factor: np.ndarray | None,
-):
-    dims = ws.dims
-    edge = [
-        np.array([_random_involution(dims[k], rng) for _ in range(f.m)])
-        for k in range(ws.parties)
-    ]
-    central = np.array(
-        [_random_involution(dims[-1], rng) for _ in range(f.n_terms)]
-    )
-
-    ket = factor
-    if factor is None:
-        total = math.prod(dims)
-        psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        ket = (psi / np.linalg.norm(psi))[:, None]
+) -> list[tuple]:
+    """Run one restart per generator, all in lockstep on a leading stack axis.
+    Each restart draws its start from its own generator and makes the moves
+    a lone restart makes, in the same order, accepting each through a mask;
+    it leaves the stack once converged. Returns each restart's (value, ket,
+    edge, central, history, converged) in generator order, bit for bit as alone."""
+    dims, total, starts = ws.dims, math.prod(ws.dims), []
+    for rng in rngs:
+        start = [np.array([_random_involution(d, rng) for _ in range(f.m)]) for d in dims[:-1]]
+        start.append(np.array([_random_involution(dims[-1], rng) for _ in range(f.n_terms)]))
+        if factor is None:
+            psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+            start.append((psi / np.linalg.norm(psi))[:, None])
+        starts.append(start)
+    stacks = [np.array(s) for s in zip(*starts)]
+    # A fixed factor is one entry that broadcasts over the stack, in its own
+    # memory layout: the contractions' summation order follows it.
+    *edge, central, ket = stacks if factor is None else stacks + [factor[None]]
 
     def score(ket, ops):
         corr = _correlators(ws, ket, ops)
@@ -243,49 +272,56 @@ def _seesaw_single(
 
     ops = ws.slot_ops(edge, central)
     corr, value = score(ket, ops)
-    history = [value]
-    converged = False
-
-    for _ in range(cfg.max_iters):
+    alive, histories, runs = np.arange(len(rngs)), [[v] for v in value], [None] * len(rngs)
+    for sweep in range(cfg.max_iters):
         before = value
         w = _weights(f, corr)
-        if not np.any(w):
-            w = np.where(np.asarray(corr) < 0, -1.0, 1.0)
         if factor is None:
             # Top eigenvector of the linearized Bell operator, damped by a
             # line search on the true objective: root-sum combiners are
             # concave in the correlators, so the full jump can overshoot.
-            held = ket[:, 0]
+            # Each restart keeps its first step that raises its value.
+            held = ket[..., 0]
             target = _top_eigvec(ws, ops, w, held)
+            pending = np.ones(len(value), dtype=bool)
             for eta in (1.0, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02):
                 cand = (1.0 - eta) * held + eta * target
-                norm = np.linalg.norm(cand)
-                if norm < 1e-12:
-                    continue
-                cand = (cand / norm)[:, None]
+                norm = _norms(cand)
+                live = pending & (norm >= 1e-12)
+                cand = (cand / np.where(live, norm, 1.0)[:, None])[..., None]
                 cand_corr, cand_value = score(cand, ops)
-                if cand_value > value:
-                    ket, corr, value = cand, cand_corr, cand_value
+                take = live & (cand_value > value)
+                ket, corr, value = _pick(take, (cand, cand_corr, cand_value), (ket, corr, value))
+                pending &= ~take
+                if not pending.any():
                     break
         for k in range(ws.parties):
             moved = _edge_update(ws, k, edge[k], w, _steering(ws, ket, k, ops))
             cand_ops = ops[:k] + [f.signed_sums(k, moved)] + ops[k + 1 :]
             cand_corr, cand_value = score(ket, cand_ops)
-            if cand_value >= value:
-                edge[k], ops, corr, value = moved, cand_ops, cand_corr, cand_value
+            take = cand_value >= value
+            edge[k], ops[k], corr, value = _pick(
+                take, (moved, cand_ops[k], cand_corr, cand_value), (edge[k], ops[k], corr, value)
+            )
         # Each term owns its central input, so this update maximizes I_i
         # (hence |I_i|) exactly and never decreases the objective.
-        # ``central`` is rebound, never written in place: ops[-1] is it.
-        central = _sign_eig(_steering(ws, ket, ws.parties, ops))
-        ops = ops[:-1] + [central]
+        ops[-1] = _sign_eig(_steering(ws, ket, ws.parties, ops))
         corr, value = score(ket, ops)
 
-        history.append(value)
-        if value - before <= cfg.tol * max(1.0, abs(value)):
-            converged = True
+        converged = value - before <= cfg.tol * np.maximum(1.0, np.abs(value))
+        done = converged | (sweep == cfg.max_iters - 1)
+        for j, i in enumerate(alive):
+            histories[i].append(value[j])
+            if done[j]:
+                runs[i] = (value[j], ket[j] if factor is None else factor, [e[j] for e in edge],
+                           ops[-1][j], histories[i], bool(converged[j]))
+        if done.all():
             break
-
-    return value, ket, edge, central, history, converged
+        keep = ~done
+        alive, corr, value, *edge = [a[keep] for a in (alive, corr, value, *edge)]
+        ops = [op[keep] for op in ops]
+        ket = ket[keep] if factor is None else ket
+    return runs
 
 
 def seesaw_optimize(
@@ -301,7 +337,11 @@ def seesaw_optimize(
     the state is updated each sweep to the top eigenvector of the
     linearized Bell operator. The returned history is monotonically
     nondecreasing; a restart that fails to make progress is reported with
-    ``converged=False``.
+    ``converged=False``. The first restart with the best value is returned.
+
+    Restarts run in seed order as lockstep stacks of max(1, 128^2 // D^2)
+    at total dimension D: all of them at small D, one at a time from
+    D = 91 up. Each restart's result is the same either way.
     """
     cfg = cfg or SeesawConfig()
     parties = f.parties
@@ -321,14 +361,14 @@ def seesaw_optimize(
 
     factor = None if fixed_state is None else fixed_state.factor
     ws = _Workspace(f, dims)
-    best = None
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(child)
-        run = _seesaw_single(f, ws, rng, cfg, factor)
-        if best is None or run[0] > best[0]:
-            best = run
-
-    value, ket, edge, central, history, converged = best
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+    # A stack of R restarts holds R x T x D^2 entries in its dense Bell build;
+    # R x D^2 <= limit^2 keeps it within one restart's build at the limit.
+    size = max(1, _DENSE_EIG_LIMIT**2 // total**2)
+    runs = [run for i in range(0, len(rngs), size)
+            for run in _seesaw_lockstep(f, ws, rngs[i : i + size], cfg, factor)]
+    # max keeps the first of equal values: the earliest best restart.
+    value, ket, edge, central, history, converged = max(runs, key=lambda run: run[0])
     state = fixed_state
     if state is None:
         state = QuantumState.pure(ket[:, 0], dims)

@@ -545,6 +545,8 @@ BAD_SETTINGS = {
     "state_re_true": lambda s: {
         **s, "state": {**s["state"], "data": {**s["state"]["data"], "re": [True, 0.0, 0.0, 0.0]}}
     },
+    # Raw text: json.load raises RecursionError, not JSONDecodeError.
+    "deeply_nested": lambda s: "[" * 100000,
 }
 
 
@@ -552,7 +554,8 @@ class TestInvalidInputExit2:
     @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
     def test_certify_settings(self, capsys, tmp_path, case):
         path = tmp_path / "settings.json"
-        path.write_text(json.dumps(BAD_SETTINGS[case](_chsh_settings())))
+        doc = BAD_SETTINGS[case](_chsh_settings())
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(
             capsys, "certify", "--expr", "chsh", "--settings", str(path)
         )

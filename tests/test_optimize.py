@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from netbell import optimize
 from netbell import tolerances as tol
 from netbell.certify import sos_certificate
 from netbell.errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
@@ -24,9 +25,12 @@ from netbell.optimize import (
     SeesawConfig,
     _correlators,
     _edge_update,
+    _extreme_eig,
     _random_involution,
+    _seesaw_lockstep,
     _sign_eig,
     _steering,
+    _weights,
     _top_eigvec,
     _vector_gradient,
     _Workspace,
@@ -206,6 +210,135 @@ class TestSeesaw:
         assert a.history == b.history
 
 
+def lockstep_runs(f, cfg, state=None):
+    """The restarts of ``cfg`` run as one lockstep stack and each one alone,
+    as a one-restart stack from the same generator."""
+    if state is None:
+        dims, factor = (cfg.edge_dim,) * f.parties + (cfg.edge_dim**f.parties,), None
+    else:
+        dims, factor = tuple(state.subsystem_dims), state.factor
+    ws = _Workspace(f, dims)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    stack = _seesaw_lockstep(f, ws, [np.random.default_rng(c) for c in children], cfg, factor)
+    alone = [_seesaw_lockstep(f, ws, [np.random.default_rng(c)], cfg, factor)[0] for c in children]
+    return stack, alone
+
+
+def assert_stack_equals_slices(stack, alone):
+    """Value, ket, observables, history and convergence, bit for bit."""
+    assert len(stack) == len(alone)
+    for got, want in zip(stack, alone):
+        value, ket, edge, central, history, converged = got
+        assert value == want[0] and converged == want[5]
+        assert np.array_equal(ket, want[1])
+        assert len(edge) == len(want[2])
+        assert all(np.array_equal(a, b) for a, b in zip(edge, want[2]))
+        assert np.array_equal(central, want[3])
+        assert history == want[4]
+
+
+class TestLockstep:
+    """Restarts run as lockstep stacks; each restart's result is
+    bit-identical to running it alone."""
+
+    @pytest.mark.parametrize(
+        "kind,m,n,restarts,max_iters",
+        [
+            (Kind.GM, 4, 1, 10, 400),
+            (Kind.STAR, 2, 3, 3, 400),
+            (Kind.XI, 3, 2, 4, 400),
+            # D = 256: one Lanczos solve per stacked restart.
+            (Kind.XI, 3, 4, 2, 400),
+        ],
+    )
+    def test_free_state_stack_equals_slices(self, kind, m, n, restarts, max_iters):
+        f = build_functional(kind, m, n)
+        cfg = SeesawConfig(restarts=restarts, max_iters=max_iters, seed=1)
+        stack, alone = lockstep_runs(f, cfg)
+        assert_stack_equals_slices(stack, alone)
+        if kind == Kind.GM:
+            # Restarts leave the stack after different sweep counts.
+            assert len({len(run[4]) for run in stack}) > 1
+
+    def test_fixed_density_stack_equals_slices(self):
+        # A four-column factor, iteration-capped so that some restarts leave
+        # converged and the rest at max_iters.
+        f = build_functional(Kind.STAR, 2, 3)
+        rho = network_product_state(
+            [random_two_qubit_density(3 + k, r) for k, r in enumerate((1, 4, 1))]
+        )
+        assert rho.factor.shape[1] == 4
+        stack, alone = lockstep_runs(f, SeesawConfig(restarts=4, max_iters=20, seed=1), rho)
+        assert {run[5] for run in stack} == {True, False}
+        assert_stack_equals_slices(stack, alone)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.sampled_from([(Kind.CHSH, 2, 1), (Kind.BILOCAL, 2, 2), (Kind.CHAINED, 4, 1),
+                         (Kind.DELTA, 3, 2)]),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_slices_over_seeds(self, scenario, restarts, seed):
+        f = build_functional(*scenario)
+        cfg = SeesawConfig(restarts=restarts, max_iters=60, seed=seed)
+        assert_stack_equals_slices(*lockstep_runs(f, cfg))
+
+    @pytest.mark.parametrize(
+        "kind,m,n,edge_dim,restarts,sizes",
+        [
+            (Kind.GM, 4, 1, 2, 10, [10]),  # D = 4
+            (Kind.BILOCAL, 2, 2, 3, 3, [2, 1]),  # D = 81
+            (Kind.CHAINED, 4, 1, 11, 2, [1, 1]),  # D = 121
+            (Kind.XI, 3, 4, 2, 2, [1, 1]),  # D = 256
+        ],
+    )
+    def test_stack_sizes_cap_the_dense_build(
+        self, monkeypatch, kind, m, n, edge_dim, restarts, sizes
+    ):
+        # A stack of R restarts holds R x T x D^2 entries in its dense Bell
+        # build; R x D^2 stays within one restart's build at the dense limit.
+        real, seen = optimize._seesaw_lockstep, []
+
+        def recording(f, ws, rngs, cfg, factor):
+            seen.append(len(rngs))
+            return real(f, ws, rngs, cfg, factor)
+
+        monkeypatch.setattr(optimize, "_seesaw_lockstep", recording)
+        f = build_functional(kind, m, n)
+        seesaw_optimize(f, SeesawConfig(edge_dim=edge_dim, restarts=restarts, max_iters=1))
+        assert seen == sizes
+
+    def test_weights_fall_back_to_signs_per_restart(self):
+        # Restart 0's correlators all lie below the weight clamp, so its
+        # linearization falls back to their signs; restart 1 keeps its
+        # gradient. Each row equals its one-restart call.
+        f = build_functional(Kind.STAR, 2, 3)
+        corr = np.array([[-1e-10, 0.0], [0.5, -0.25]])
+        w = _weights(f, corr)
+        assert np.array_equal(w[0], [-1.0, 1.0])
+        assert np.all(w[1] != 0) and np.all(np.sign(w[1]) == np.sign(corr[1]))
+        for row in range(2):
+            assert np.array_equal(_weights(f, corr[row : row + 1])[0], w[row])
+
+    @pytest.mark.parametrize(
+        "kind,m,n,edge_dim,restarts",
+        [
+            (Kind.CHSH, 2, 1, 2, 4),
+            # D = 81 runs its restarts in stacks of 128^2 // 81^2 = 2.
+            (Kind.BILOCAL, 2, 2, 3, 3),
+        ],
+    )
+    def test_best_restart_is_the_first_maximum(self, kind, m, n, edge_dim, restarts):
+        f = build_functional(kind, m, n)
+        cfg = SeesawConfig(edge_dim=edge_dim, restarts=restarts, seed=5)
+        stack, _ = lockstep_runs(f, cfg)
+        res = seesaw_optimize(f, cfg)
+        best = max(stack, key=lambda run: run[0])
+        assert res.value == best[0]
+        assert res.history == tuple(best[4])
+
+
 KERNEL_KINDS = [
     (Kind.CHSH, 2, 1),
     (Kind.CHAINED, 3, 1),
@@ -239,16 +372,21 @@ def as_assignment(edge, central) -> ObservableAssignment:
     )
 
 
+def stacked(ops):
+    """A one-restart stack of per-slot operator stacks."""
+    return [None if op is None else op[None] for op in ops]
+
+
 def assert_kernel_matches(states, ops, expected):
-    """Check each (workspace, factor) state against the expected
-    correlators."""
+    """Check each (workspace, factor) state, as a one-restart stack, against
+    the expected correlators."""
     for ws, ket in states:
-        correlators = _correlators(ws, ket, ops)
+        correlators = _correlators(ws, ket[None], stacked(ops))[0]
         assert np.allclose(correlators, expected, rtol=0, atol=1e-12)
         # Tr(ops[j][t] H_j[t]) recovers every correlator from each slot.
         for j in range(len(ws.dims)):
             rest = ops[:j] + [None] + ops[j + 1 :]
-            steer = _steering(ws, ket, j, rest)
+            steer = _steering(ws, ket[None], j, stacked(rest))[0]
             got = np.einsum("tab,tba->t", ops[j], steer).real
             assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -262,7 +400,7 @@ def assert_top_eigvec_matches_dense_eigh(dims):
     ops = ws.slot_ops(edge, central)
     w = np.random.default_rng(6).standard_normal(f.n_terms)
     g = sum(wi * tensor_all([op[i] for op in ops]) for i, wi in enumerate(w))
-    vec = _top_eigvec(ws, ops, w, psi)
+    vec = _top_eigvec(ws, stacked(ops), w[None], psi[None])[0]
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     top = np.linalg.eigvalsh(g)[-1]
     assert np.vdot(vec, g @ vec).real == pytest.approx(top, rel=1e-10)
@@ -364,7 +502,7 @@ class TestBatchedKernel:
         # already a top eigenvector (seen on `optimize --expr star --n 4
         # --seed 3`); the solve is retried at the looser tolerance. The
         # certificate's smallest-eigenvalue solve shares that retry.
-        real, calls = scipy.sparse.linalg.eigsh, []
+        real, calls = scipy.sparse.linalg.eigs, []
 
         def stalls_once(*args, **kwargs):
             calls.append((kwargs["which"], kwargs.get("tol", 0)))
@@ -377,13 +515,22 @@ class TestBatchedKernel:
         f = build_functional(Kind.XI, 3, 4)
         state, assignment = optimal_assignment(f)
         expected = sos_certificate(f, state, assignment).gamma_min_eig
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalls_once)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalls_once)
         assert_top_eigvec_matches_dense_eigh((3, 3, 15))
         got = sos_certificate(f, state, assignment).gamma_min_eig
         assert got == pytest.approx(expected, abs=1e-11)
         assert calls == [
-            ("LA", 0), ("LA", tol.LANCZOS_RETRY), ("SA", 0), ("SA", tol.LANCZOS_RETRY)
+            ("LR", 0), ("LR", tol.LANCZOS_RETRY), ("SR", 0), ("SR", tol.LANCZOS_RETRY)
         ]
+
+    def test_lanczos_is_reproducible_on_a_degenerate_top(self):
+        # A threefold top eigenvalue: the Krylov space from the start vector
+        # is invariant after two steps, and ARPACK draws a new start from
+        # the solver's rng, which must be seeded for repeated solves to agree.
+        d = np.zeros(200)
+        d[:3] = 1.0
+        vecs = [_extreme_eig(lambda v: d * v, 200, "LA")[1] for _ in range(3)]
+        assert np.array_equal(vecs[0], vecs[1]) and np.array_equal(vecs[0], vecs[2])
 
     def test_edge_update_keeps_unweighted_setting(self):
         # Chained m=3 terms are A0+A1, A1+A2, A2-A0: with only the middle
@@ -394,8 +541,9 @@ class TestBatchedKernel:
         edge, central, psi = random_setting(f, dims, seed=3)
         held = edge[0].copy()
         ket = psi[:, None]
-        steer = _steering(ws, ket, 0, [None, central])
-        new = _edge_update(ws, 0, edge[0], np.array([0.0, 1.0, 0.0]), steer)
+        steer = _steering(ws, ket[None], 0, [None, central[None]])[0]
+        w = np.array([[0.0, 1.0, 0.0]])
+        new = _edge_update(ws, 0, edge[0][None], w, steer[None])[0]
         assert np.array_equal(edge[0], held)
         assert np.array_equal(new[0], held[0])
         best = _sign_eig(steer[1])
