@@ -27,7 +27,6 @@ from .functionals import (
     build_functional,
     build_sign_table,
     classical_bound,
-    eval_correlator,
     eval_functional,
     quantum_bound,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "correlation_matrix",
     "correspondence_scan",
     "enumerate_deterministic_max",
-    "eval_correlator",
     "eval_functional",
     "eval_model",
     "eval_strategy",

@@ -67,9 +67,10 @@ def correlation_matrix(rho: QuantumState) -> np.ndarray:
     return np.einsum("ij,kij->k", rho.density_matrix(), _PAULI_PAIRS).real.reshape(3, 3)
 
 
-def _descending_singular_values(t: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(t.T @ t)[::-1]
-    return np.sqrt(np.clip(vals, 0.0, None))
+def _descending_spectrum(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T^T T, largest first, clipped at 0: the squared
+    singular values of T."""
+    return np.clip(np.linalg.eigvalsh(t.T @ t)[::-1], 0.0, None)
 
 
 def horodecki_chsh_max(rho: QuantumState) -> float:
@@ -79,8 +80,7 @@ def horodecki_chsh_max(rho: QuantumState) -> float:
     The maximum is over traceless qubit observables a.sigma (unit Bloch
     vectors a) on each side, not over all Hermitian involutions: +-I would
     reach 2 on any state."""
-    t = correlation_matrix(rho)
-    sq = np.clip(np.linalg.eigvalsh(t.T @ t)[::-1], 0.0, None)
+    sq = _descending_spectrum(correlation_matrix(rho))
     return float(2.0 * math.sqrt(sq[0] + sq[1]))
 
 
@@ -94,8 +94,8 @@ def bilocal_max_pair(rho_ab: QuantumState, rho_bc: QuantumState) -> float:
     PRA 96, 020304). Traceless products without that orthogonality reach
     sqrt(E_AB E_BC), the geometric mean of the two CHSH maxima, which is
     above this value in general."""
-    alpha = _descending_singular_values(correlation_matrix(rho_ab))
-    eta = _descending_singular_values(correlation_matrix(rho_bc))
+    alpha = np.sqrt(_descending_spectrum(correlation_matrix(rho_ab)))
+    eta = np.sqrt(_descending_spectrum(correlation_matrix(rho_bc)))
     return float(2.0 * math.sqrt(alpha[0] * eta[0] + alpha[1] * eta[1]))
 
 
@@ -144,7 +144,7 @@ def sos_certificate(
     the residual operator for that term is undefined there.
     """
     sums = assignment_sums(f, state, observables)
-    ws = _Workspace(f, state.subsystem_dims)
+    ws = _Workspace(state.subsystem_dims)
     edge_ops = sums + [None]
     central_ops = [None] * len(sums) + [np.array([o.matrix for o in observables.central])]
     factor = state.factor[None]

@@ -27,8 +27,8 @@ MIXTURE_GUARD = 2**22
 # central table and the output.
 _MAX_MIXTURE_SOURCES = 31
 _CHUNK = 1 << 16
-# Floats in the enumeration's per-party response table and in one chunk's
-# term products: _CHUNK rows of up to 16 terms.
+# Floats in the enumeration's (2^(m-1), T) response table and in one
+# chunk's term products: _CHUNK rows of up to 16 terms.
 _FLOAT_BUDGET = 16 * _CHUNK
 
 
@@ -97,14 +97,14 @@ def enumerate_deterministic_max(
     responses come from the winning row's products.
 
     Raises ``SearchSpaceTooLarge`` before allocating anything when the
-    sweep's rows x terms exceed ``SEARCH_SPACE_GUARD`` or the stacked
-    (parties, 2^(m-1), T) response table exceeds ``_FLOAT_BUDGET`` floats,
+    sweep's rows x terms exceed ``SEARCH_SPACE_GUARD`` or the (2^(m-1), T)
+    response table, shared by every party, exceeds ``_FLOAT_BUDGET`` floats,
     the budget of one chunk's (rows, T) products too.
     """
     parties, n_terms = f.parties, f.n_terms
     half = 2 ** (f.m - 1)
     rows = half**parties
-    table = parties * half * n_terms
+    table = half * n_terms
     if rows * n_terms > SEARCH_SPACE_GUARD:
         raise SearchSpaceTooLarge(
             f"sweep of {rows} rows x {n_terms} terms exceeds {SEARCH_SPACE_GUARD}"
@@ -116,7 +116,7 @@ def enumerate_deterministic_max(
 
     # Negated sign-table rows: first response -1, lexicographic, -1 < +1.
     signs = -np.array(build_sign_table(f.m), dtype=float)
-    per_party = signs @ np.swapaxes(f.coefficients, 1, 2)
+    responses = signs @ f.coefficients.T
 
     shape = (half,) * parties
     chunk = _FLOAT_BUDGET // max(n_terms, 16)
@@ -125,7 +125,7 @@ def enumerate_deterministic_max(
         digits = np.unravel_index(np.arange(start, min(start + chunk, rows)), shape)
         prod = np.ones((digits[0].size, n_terms))
         for k in range(parties):
-            prod *= per_party[k][digits[k]]
+            prod *= responses[digits[k]]
         vals = combine(f, np.abs(prod))
         arg = int(np.argmax(vals))
         if vals[arg] > best_value:
@@ -163,7 +163,7 @@ def _mixture_terms(
     for k in range(parties):
         operands += [weights[k], [0, sources[k]]]
     for k in range(parties):
-        operands += [responses[k] @ f.coefficients[k].T, [0, sources[k], term]]
+        operands += [responses[k] @ f.coefficients.T, [0, sources[k], term]]
     operands += [central, [0, *sources, term]]
     return np.einsum(*operands, [0, term])
 

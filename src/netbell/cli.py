@@ -241,13 +241,7 @@ def cmd_certify(args) -> int:
         return EXIT_CERTIFICATE
 
     artifacts = {
-        "omegas": list(report.omegas),
-        "weights": list(report.weights),
-        "residuals": list(report.residuals),
-        "correlators": list(report.correlators),
-        "bound_from_omegas": report.bound_from_omegas,
-        "gap": report.gap,
-        "gamma_min_eig": report.gamma_min_eig,
+        **{k: v for k, v in dataclasses.asdict(report).items() if k != "value"},
         "state": serialize.state_to_json(state),
         **serialize.assignment_to_json(assignment),
     }

@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     SearchSpaceTooLarge,
 )
-from .qcore import as_matrix, expectation, tensor_all
+from .qcore import expectation, tensor_all
 from .states import Observable, QuantumState
 
 
@@ -46,7 +46,8 @@ LINEAR = "linear"
 ROOT_SUM = "root_sum"
 
 
-# Entries parties x T x m of the largest term table a functional builds.
+# Entries parties x T x m of the largest term table a functional's record
+# spells out (one row per party in each JSON term).
 TABLE_BUDGET = 2**20
 
 
@@ -74,13 +75,12 @@ class Functional:
     input per term. Every edge party carries the same term rows: the
     sign table of ``build_sign_table(m)`` for chsh, gm, bilocal, star
     and delta, the cyclic pairs for chained and xi. ``coefficients`` is
-    the read-only (parties, T, m) float array of those signs,
-    ``coefficients[k, i, x]`` the sign of setting x of edge party k in
-    term i; every evaluator reads it. Construction raises
-    ``InvalidScenario`` for a (kind, m, n) that defines no functional,
-    ``OutOfRange`` for a sign-table m outside 2..16, and
-    ``SearchSpaceTooLarge`` before building a table of more than
-    ``TABLE_BUDGET`` entries.
+    the read-only (T, m) float array of those signs, ``coefficients[i, x]``
+    the sign of setting x of every edge party in term i; every evaluator
+    reads it. Construction raises ``InvalidScenario`` for a (kind, m, n)
+    that defines no functional, ``OutOfRange`` for a sign-table m outside
+    2..16, and ``SearchSpaceTooLarge`` when the record's parties x T x m
+    term table would exceed ``TABLE_BUDGET`` entries.
     """
 
     kind: Kind
@@ -106,8 +106,7 @@ class Functional:
         if self.parties * n_terms * m > TABLE_BUDGET:
             raise SearchSpaceTooLarge(f"term table of {self.parties} x {n_terms} x {m} "
                                       f"entries exceeds {TABLE_BUDGET}")
-        rows = np.array(_chained_signs(m) if cyclic else rows, dtype=float)
-        table = np.broadcast_to(rows, (self.parties,) + rows.shape).copy()
+        table = np.array(_chained_signs(m) if cyclic else rows, dtype=float)
         table.setflags(write=False)
         object.__setattr__(self, "coefficients", table)
 
@@ -118,7 +117,7 @@ class Functional:
 
     @property
     def n_terms(self) -> int:
-        return self.coefficients.shape[1]
+        return self.coefficients.shape[0]
 
     @property
     def parties(self) -> int:
@@ -126,15 +125,12 @@ class Functional:
         bipartite kinds to n = 1."""
         return self.n
 
-    def signed_sums(self, party: int, observables: Sequence[np.ndarray]) -> np.ndarray:
+    def signed_sums(self, observables: Sequence[np.ndarray]) -> np.ndarray:
         """Per-term signed observable sums sum_x c[t, x] A_x of one edge
         party, stacked as (terms, d, d); all-zero rows give zero matrices.
         An (..., m, d, d) stack of observables gives (..., terms, d, d)."""
-        return np.einsum(
-            "tx,...xab->...tab",
-            self.coefficients[party],
-            np.asarray(observables, dtype=complex),
-        )
+        ops = np.asarray(observables, dtype=complex)
+        return np.einsum("tx,...xab->...tab", self.coefficients, ops)
 
 
 @dataclass(frozen=True)
@@ -171,23 +167,6 @@ def combine(f: Functional, correlators: Sequence | np.ndarray) -> float | np.nda
     c = np.ascontiguousarray(correlators, dtype=float)
     total = np.add.reduce(c if f.combiner == LINEAR else _roots(c, f.n), axis=-1)
     return float(total) if total.ndim == 0 else total
-
-
-def eval_correlator(
-    state: QuantumState,
-    edge_ops: Sequence[np.ndarray],
-    central_obs: Observable | np.ndarray,
-) -> float:
-    """Expectation of the tensor-ordered product of per-party signed
-    observable combinations and the central observable."""
-    central = central_obs.matrix if isinstance(central_obs, Observable) else as_matrix(central_obs)
-    ops = [as_matrix(op) for op in edge_ops] + [central]
-    dims = [op.shape[0] for op in ops]
-    if tuple(dims) != tuple(state.subsystem_dims):
-        raise DimensionMismatch(
-            f"operator dims {tuple(dims)} do not match state slots {state.subsystem_dims}"
-        )
-    return expectation(state, tensor_all(ops))
 
 
 def assignment_sums(
@@ -227,10 +206,7 @@ def assignment_sums(
                     f"{where} observable {x} has dimension {o.dim}, "
                     f"its state slot {dim}"
                 )
-    return [
-        f.signed_sums(k, [o.matrix for o in row])
-        for k, row in enumerate(observables.edge)
-    ]
+    return [f.signed_sums([o.matrix for o in row]) for row in observables.edge]
 
 
 def eval_functional(
@@ -241,7 +217,7 @@ def eval_functional(
     """Functional value and the tuple of per-term correlators of a full assignment."""
     sums = assignment_sums(f, state, observables)
     values = [
-        eval_correlator(state, [s[i] for s in sums], central)
+        expectation(state, tensor_all([s[i] for s in sums] + [central.matrix]))
         for i, central in enumerate(observables.central)
     ]
     return combine(f, values), tuple(values)

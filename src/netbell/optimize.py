@@ -97,8 +97,7 @@ def _sign_eig(h: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Shared geometry for one seesaw run or certificate: slot dims and the
-    batched slot contractions. The sign coefficients are the functional's
-    own ``f.coefficients``; the workspace keeps no copy.
+    batched slot contractions.
 
     The state travels as its (D, r) ``QuantumState.factor`` K, whose
     correlators are c_t = sum conj(K) * (O_t K) = Tr(O_t rho): r = 1 for a
@@ -110,15 +109,10 @@ class _Workspace:
     sum on an edge slot, a central observable on the last); ``None`` skips it.
     """
 
-    def __init__(self, f: Functional, dims: tuple[int, ...]):
-        self.f = f
+    def __init__(self, dims: tuple[int, ...]):
         self.dims = dims
-        self.parties = f.parties
         # (before, slot, rest) around each slot; rest also holds the r columns.
         self.splits = [(math.prod(dims[:j]), d) for j, d in enumerate(dims)]
-
-    def slot_ops(self, edge: list[np.ndarray], central: np.ndarray) -> list[np.ndarray]:
-        return [self.f.signed_sums(k, edge[k]) for k in range(self.parties)] + [central]
 
     def apply(self, x: np.ndarray, ops: Sequence[np.ndarray | None]) -> np.ndarray:
         """Stack over t of (ops[0][t] x ... x ops[-1][t]) x[t], one batched
@@ -215,12 +209,12 @@ def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndar
 
 
 def _edge_update(
-    ws: _Workspace, k: int, observables: np.ndarray, w: np.ndarray, steer: np.ndarray
+    f: Functional, observables: np.ndarray, w: np.ndarray, steer: np.ndarray
 ) -> np.ndarray:
-    """Best response of edge party k's (R, m, d, d) observables to the
+    """Best response of an edge party's (R, m, d, d) observables to the
     (R, T, d, d) steering stack under (R, T) term weights w. A setting whose
-    weighted coefficients w[r, t] C_k[t, x] all vanish is left unchanged."""
-    wc = w[..., None] * ws.f.coefficients[k]
+    weighted coefficients w[r, t] C[t, x] all vanish is left unchanged."""
+    wc = w[..., None] * f.coefficients
     moved = np.any(wc != 0, axis=-2)[..., None, None]
     return np.where(moved, _sign_eig(np.einsum("rtx,rtab->rxab", wc, steer)), observables)
 
@@ -270,7 +264,7 @@ def _seesaw_lockstep(
         corr = _correlators(ws, ket, ops)
         return corr, combine(f, corr)
 
-    ops = ws.slot_ops(edge, central)
+    ops = [f.signed_sums(e) for e in edge] + [central]
     corr, value = score(ket, ops)
     alive, histories, runs = np.arange(len(rngs)), [[v] for v in value], [None] * len(rngs)
     for sweep in range(cfg.max_iters):
@@ -295,9 +289,9 @@ def _seesaw_lockstep(
                 pending &= ~take
                 if not pending.any():
                     break
-        for k in range(ws.parties):
-            moved = _edge_update(ws, k, edge[k], w, _steering(ws, ket, k, ops))
-            cand_ops = ops[:k] + [f.signed_sums(k, moved)] + ops[k + 1 :]
+        for k in range(f.parties):
+            moved = _edge_update(f, edge[k], w, _steering(ws, ket, k, ops))
+            cand_ops = ops[:k] + [f.signed_sums(moved)] + ops[k + 1 :]
             cand_corr, cand_value = score(ket, cand_ops)
             take = cand_value >= value
             edge[k], ops[k], corr, value = _pick(
@@ -305,7 +299,7 @@ def _seesaw_lockstep(
             )
         # Each term owns its central input, so this update maximizes I_i
         # (hence |I_i|) exactly and never decreases the objective.
-        ops[-1] = _sign_eig(_steering(ws, ket, ws.parties, ops))
+        ops[-1] = _sign_eig(_steering(ws, ket, f.parties, ops))
         corr, value = score(ket, ops)
 
         converged = value - before <= cfg.tol * np.maximum(1.0, np.abs(value))
@@ -360,7 +354,7 @@ def seesaw_optimize(
         )
 
     factor = None if fixed_state is None else fixed_state.factor
-    ws = _Workspace(f, dims)
+    ws = _Workspace(dims)
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
     # A stack of R restarts holds R x T x D^2 entries in its dense Bell build;
     # R x D^2 <= limit^2 keeps it within one restart's build at the limit.
@@ -414,7 +408,7 @@ def _vector_gradient(f: Functional, vectors: np.ndarray) -> np.ndarray:
     terms = np.prod(np.where(small, 0.0, omegas), axis=0) ** (1.0 / f.n)
     coef = np.where(small, 0.0, terms / (f.n * safe))
     units = sums / safe[..., None]
-    return np.swapaxes(f.coefficients, 1, 2) @ (coef[..., None] * units)
+    return f.coefficients.T @ (coef[..., None] * units)
 
 
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
@@ -498,7 +492,7 @@ def realize(f: Functional, vectors: np.ndarray) -> tuple[QuantumState, Observabl
         raise ZeroNorm(f"a signed vector sum of edge party {vanishing[0]} vanishes")
     gamma = np.array([g.matrix for g in anticommuting_set(vectors.shape[2])])
     edge = np.tensordot(vectors, gamma, axes=1)
-    sums = np.einsum("ktx,kxab->ktab", f.coefficients, edge)
+    sums = np.einsum("tx,kxab->ktab", f.coefficients, edge)
     units = np.swapaxes(sums, 2, 3) / norms[..., None, None]
     state = network_product_state([maximally_entangled(len(gamma[0]))] * len(edge))
     central = tuple(Observable(tensor_all(ops)) for ops in zip(*units))

@@ -104,13 +104,13 @@ def observable_from_json(obj: dict, path: str = "observable") -> Observable:
 
 
 def functional_to_json(f: Functional) -> dict:
-    signs = f.coefficients.astype(int).transpose(1, 0, 2).tolist()
+    rows = f.coefficients.astype(int).tolist()
     return {
         "kind": f.kind.value,
         "m": f.m,
         "n": f.n,
         "combiner": f.combiner,
-        "terms": [{"signs": s, "central_input": i} for i, s in enumerate(signs)],
+        "terms": [{"signs": [row] * f.n, "central_input": i} for i, row in enumerate(rows)],
     }
 
 

@@ -312,8 +312,7 @@ def dense_certificate(f, state, assignment):
 
     omegas, weights, residuals, correlators, gamma = [], [], [], [], 0
     for i in range(f.n_terms):
-        edge = [f.signed_sums(k, [o.matrix for o in row])[i]
-                for k, row in enumerate(assignment.edge)]
+        edge = [f.signed_sums([o.matrix for o in row])[i] for row in assignment.edge]
         t_edge = tensor_all(edge + [np.eye(dims[-1])])
         b_full = tensor_all([np.eye(d) for d in dims[:-1]]
                             + [assignment.central[i].matrix])

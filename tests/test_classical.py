@@ -142,8 +142,8 @@ def full_sweep_max(f):
     best_value, best_edge, best_prod = -np.inf, None, None
     for edge in itertools.product(tables, repeat=f.parties):
         prod = np.ones(f.n_terms)
-        for k, row in enumerate(edge):
-            prod *= f.coefficients[k] @ np.array(row, dtype=float)
+        for row in edge:
+            prod *= f.coefficients @ np.array(row, dtype=float)
         if f.combiner == LINEAR:
             value = float(np.abs(prod).sum())
         else:

@@ -21,7 +21,6 @@ from netbell.functionals import (
     build_functional,
     build_sign_table,
     classical_bound,
-    eval_correlator,
     eval_functional,
     quantum_bound,
 )
@@ -77,10 +76,7 @@ class TestBuildFunctional:
     def test_chsh_terms(self):
         f = build_functional(Kind.CHSH, 2, 1)
         assert f.combiner == fn.LINEAR
-        assert [f.coefficients[:, i].tolist() for i in range(f.n_terms)] == [
-            [[1, 1]],
-            [[1, -1]],
-        ]
+        assert f.coefficients.tolist() == [[1, 1], [1, -1]]
 
     def test_xi_3_2_terms(self):
         f = build_functional(Kind.XI, 3, 2)
@@ -88,7 +84,7 @@ class TestBuildFunctional:
         expected = [(1, 1, 0), (0, 1, 1), (-1, 0, 1)]
         assert f.n_terms == len(expected)
         for i, row in enumerate(expected):
-            assert f.coefficients[:, i].tolist() == [list(row), list(row)]
+            assert f.coefficients[i].tolist() == list(row)
 
     def test_delta_m2_matches_star(self):
         for n in (2, 3):
@@ -122,7 +118,8 @@ class TestBuildFunctional:
         [(Kind.GM, 16, 1, 2**19), (Kind.DELTA, 16, 2, 2**20), (Kind.CHAINED, 1024, 1, 2**20)],
     )
     def test_table_within_budget_builds(self, kind, m, n, size):
-        assert build_functional(kind, m, n).coefficients.size == size
+        f = build_functional(kind, m, n)
+        assert f.parties * f.coefficients.size == size
 
     @pytest.mark.parametrize(
         "kind,m,n",
@@ -137,36 +134,6 @@ class TestBuildFunctional:
             build_functional(Kind.GM, 17, 1)
         with pytest.raises(OutOfRange):
             build_functional(Kind.DELTA, 10**9, 10**9)
-
-
-class TestEvalCorrelator:
-    def test_two_singlets_optimal_term(self):
-        psi = network_product_state([SINGLET, SINGLET])
-        a1, a2 = diag_obs()
-        edge = [a1.matrix + a2.matrix, a1.matrix + a2.matrix]
-        central = Observable(np.kron(SIGMA_Z, SIGMA_Z))
-        # Product state factorizes: each wing contributes sqrt(2) * (-1),
-        # so the 16x16 expectation is (-sqrt 2)(-sqrt 2) = 2.
-        assert eval_correlator(psi, edge, central) == pytest.approx(2.0)
-
-    def test_product_state_factorizes(self):
-        vec = np.zeros(16)
-        vec[0] = 1.0
-        psi = QuantumState.pure(vec, (2, 2, 4))
-        edge = [SIGMA_Z + SIGMA_X, SIGMA_Z - SIGMA_X]
-        central = Observable(np.kron(SIGMA_Z, SIGMA_X))
-        got = eval_correlator(psi, edge, central)
-        single = [1.0 + 0.0, 1.0 - 0.0, 1.0 * 0.0]  # <op> on |0> per slot
-        assert got == pytest.approx(single[0] * single[1] * single[2])
-
-    def test_all_zero_coefficients(self):
-        psi = network_product_state([SINGLET, SINGLET])
-        edge = [np.zeros((2, 2)), np.zeros((2, 2))]
-        assert eval_correlator(psi, edge, Observable(np.eye(4))) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            eval_correlator(SINGLET, [SIGMA_Z, SIGMA_Z], Observable(SIGMA_X))
 
 
 def chsh_assignment():
@@ -226,8 +193,23 @@ class TestEvalFunctional:
         psi = network_product_state([PHI_PLUS, PHI_PLUS])
         _, correlators = eval_functional(f, psi, bilocal_assignment())
         for i, value in enumerate(correlators):
-            ceiling = np.prod(np.abs(f.coefficients[:, i]).sum(axis=1))
+            ceiling = np.abs(f.coefficients[i]).sum() ** f.parties
             assert abs(value) <= ceiling + 1e-12
+
+    def test_all_zero_signed_sum(self):
+        # Equal settings cancel in chsh's second term, A_0 - A_1 = 0.
+        f = build_functional(Kind.CHSH, 2, 1)
+        y1, y2 = diag_obs()
+        same = ObservableAssignment(edge=((Observable(SIGMA_Z),) * 2,), central=(y1, y2))
+        _, correlators = eval_functional(f, SINGLET, same)
+        assert correlators[1] == 0.0
+
+    def test_dimension_mismatch(self):
+        f = build_functional(Kind.CHSH, 2, 1)
+        wide = Observable(np.kron(SIGMA_Z, SIGMA_X))
+        broken = ObservableAssignment(edge=chsh_assignment().edge, central=(wide, wide))
+        with pytest.raises(DimensionMismatch, match="central party observable 0"):
+            eval_functional(f, SINGLET, broken)
 
     def test_missing_observable(self):
         f = build_functional(Kind.CHSH, 2, 1)
@@ -320,14 +302,13 @@ class TestCoefficients:
     def test_read_only_table_of_term_signs(self, kind, m, n):
         f = build_functional(kind, m, n)
         c = f.coefficients
-        assert c.shape == (f.parties, f.n_terms, m)
+        assert c.shape == (f.n_terms, m)
         assert c.dtype == float
         rows = fn._chained_signs(m) if kind in (Kind.CHAINED, Kind.XI) else build_sign_table(m)
-        for k in range(f.parties):
-            assert c[k].tolist() == [list(row) for row in rows]
+        assert c.tolist() == [list(row) for row in rows]
         assert not c.flags.writeable
         with pytest.raises(ValueError):
-            c[0, 0, 0] = 2.0
+            c[0, 0] = 2.0
 
     @pytest.mark.parametrize(
         "mutate",
@@ -374,6 +355,18 @@ GOLDEN_JSON = {
         '{"central_input": 1, "signs": [[0, 1, 1], [0, 1, 1]]}, '
         '{"central_input": 2, "signs": [[-1, 0, 1], [-1, 0, 1]]}]}'
     ),
+    (Kind.STAR, 2, 3): (
+        '{"combiner": "root_sum", "kind": "star", "m": 2, "n": 3, "terms": ['
+        '{"central_input": 0, "signs": [[1, 1], [1, 1], [1, 1]]}, '
+        '{"central_input": 1, "signs": [[1, -1], [1, -1], [1, -1]]}]}'
+    ),
+    (Kind.DELTA, 3, 2): (
+        '{"combiner": "root_sum", "kind": "delta", "m": 3, "n": 2, "terms": ['
+        '{"central_input": 0, "signs": [[1, 1, 1], [1, 1, 1]]}, '
+        '{"central_input": 1, "signs": [[1, 1, -1], [1, 1, -1]]}, '
+        '{"central_input": 2, "signs": [[1, -1, 1], [1, -1, 1]]}, '
+        '{"central_input": 3, "signs": [[1, -1, -1], [1, -1, -1]]}]}'
+    ),
 }
 
 
@@ -418,7 +411,8 @@ class TestJson:
         assert np.array_equal(back.coefficients, f.coefficients)
 
         flipped = json.loads(json.dumps(doc))
-        k, i, x = data.draw(st.sampled_from(np.argwhere(f.coefficients != 0).tolist()))
+        i, x = data.draw(st.sampled_from(np.argwhere(f.coefficients != 0).tolist()))
+        k = data.draw(st.integers(0, f.parties - 1))
         flipped["terms"][i]["signs"][k][x] *= -1
         with pytest.raises(InvalidScenario, match="functional.terms"):
             serialize.functional_from_json(flipped)

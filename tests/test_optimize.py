@@ -217,7 +217,7 @@ def lockstep_runs(f, cfg, state=None):
         dims, factor = (cfg.edge_dim,) * f.parties + (cfg.edge_dim**f.parties,), None
     else:
         dims, factor = tuple(state.subsystem_dims), state.factor
-    ws = _Workspace(f, dims)
+    ws = _Workspace(dims)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     stack = _seesaw_lockstep(f, ws, [np.random.default_rng(c) for c in children], cfg, factor)
     alone = [_seesaw_lockstep(f, ws, [np.random.default_rng(c)], cfg, factor)[0] for c in children]
@@ -372,6 +372,12 @@ def as_assignment(edge, central) -> ObservableAssignment:
     )
 
 
+def slot_ops(f, edge, central):
+    """Per-slot operator stacks: each edge party's signed sums, then the
+    central observables."""
+    return [f.signed_sums(e) for e in edge] + [central]
+
+
 def stacked(ops):
     """A one-restart stack of per-slot operator stacks."""
     return [None if op is None else op[None] for op in ops]
@@ -395,9 +401,9 @@ def assert_top_eigvec_matches_dense_eigh(dims):
     """_top_eigvec of a random xi m=3 n=2 Bell operator on slots ``dims``
     against the top eigenvalue of the operator built densely."""
     f = build_functional(Kind.XI, 3, 2)
-    ws = _Workspace(f, dims)
+    ws = _Workspace(dims)
     edge, central, psi = random_setting(f, dims, seed=5)
-    ops = ws.slot_ops(edge, central)
+    ops = slot_ops(f, edge, central)
     w = np.random.default_rng(6).standard_normal(f.n_terms)
     g = sum(wi * tensor_all([op[i] for op in ops]) for i, wi in enumerate(w))
     vec = _top_eigvec(ws, stacked(ops), w[None], psi[None])[0]
@@ -412,14 +418,14 @@ class TestBatchedKernel:
         f = build_functional(kind, m, n)
         dims = (2,) * f.parties + (2**f.parties,)
         edge, central, psi = random_setting(f, dims, seed=f.n_terms + n)
-        ops = _Workspace(f, dims).slot_ops(edge, central)
+        ops = slot_ops(f, edge, central)
         assignment = as_assignment(edge, central)
         _, expected = eval_functional(f, QuantumState.pure(psi, dims), assignment)
         factor = QuantumState.density(np.outer(psi, psi.conj()), dims).factor
         assert factor.shape == (len(psi), 1)
         states = [
-            (_Workspace(f, dims), psi[:, None]),
-            (_Workspace(f, dims), factor),
+            (_Workspace(dims), psi[:, None]),
+            (_Workspace(dims), factor),
         ]
         assert_kernel_matches(states, ops, expected)
 
@@ -428,7 +434,7 @@ class TestBatchedKernel:
         f = build_functional(kind, m, n)
         dims = (2,) * f.parties + (2**f.parties,)
         edge, central, _ = random_setting(f, dims, seed=f.n_terms + 2 * n)
-        ops = _Workspace(f, dims).slot_ops(edge, central)
+        ops = slot_ops(f, edge, central)
         total = int(np.prod(dims))
         g = np.random.default_rng(total).standard_normal((total, total, 2)) @ [1, 1j]
         rho = g @ g.conj().T
@@ -438,7 +444,7 @@ class TestBatchedKernel:
         _, expected = eval_functional(f, state, as_assignment(edge, central))
         factor = state.factor
         assert factor.shape == (total, total)
-        states = [(_Workspace(f, dims), factor)]
+        states = [(_Workspace(dims), factor)]
         assert_kernel_matches(states, ops, expected)
 
     @pytest.mark.parametrize(
@@ -459,9 +465,9 @@ class TestBatchedKernel:
         assert factor.shape == (len(state.data), math.prod(ranks))
         assert np.max(np.abs(factor @ factor.conj().T - state.data)) <= 1e-12
         edge, central, _ = random_setting(f, dims, seed=sum(ranks) + n)
-        ops = _Workspace(f, dims).slot_ops(edge, central)
+        ops = slot_ops(f, edge, central)
         _, expected = eval_functional(f, state, as_assignment(edge, central))
-        states = [(_Workspace(f, dims), factor)]
+        states = [(_Workspace(dims), factor)]
         assert_kernel_matches(states, ops, expected)
 
     @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
@@ -471,8 +477,8 @@ class TestBatchedKernel:
         f = build_functional(kind, m, n)
         dims = (2,) * f.parties + (2**f.parties,)
         edge, central, _ = random_setting(f, dims, seed=f.n_terms + 3 * n)
-        ws = _Workspace(f, dims)
-        ops = ws.slot_ops(edge, central)
+        ws = _Workspace(dims)
+        ops = slot_ops(f, edge, central)
         total = math.prod(dims)
         x = np.random.default_rng(total).standard_normal((f.n_terms, total, 3, 2)) @ [1, 1j]
         got = ws.apply(x, ops)
@@ -537,13 +543,13 @@ class TestBatchedKernel:
         # term weighted, setting 0 has nothing to respond to.
         f = build_functional(Kind.CHAINED, 3, 1)
         dims = (2, 2)
-        ws = _Workspace(f, dims)
+        ws = _Workspace(dims)
         edge, central, psi = random_setting(f, dims, seed=3)
         held = edge[0].copy()
         ket = psi[:, None]
         steer = _steering(ws, ket[None], 0, [None, central[None]])[0]
         w = np.array([[0.0, 1.0, 0.0]])
-        new = _edge_update(ws, 0, edge[0][None], w, steer[None])[0]
+        new = _edge_update(f, edge[0][None], w, steer[None])[0]
         assert np.array_equal(edge[0], held)
         assert np.array_equal(new[0], held[0])
         best = _sign_eig(steer[1])
