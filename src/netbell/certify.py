@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionGuard, DimensionMismatch, InvalidScenario, OutOfRange, ZeroNorm
+from .errors import InvalidInput, TooLarge, ZeroNorm
 from .functionals import (
     LINEAR,
     Functional,
@@ -61,7 +61,7 @@ def correlation_matrix(rho: QuantumState) -> np.ndarray:
     """3x3 Pauli correlation matrix t[r,s] = Tr[rho (sigma_r x sigma_s)],
     Pauli order (x, y, z)."""
     if rho.subsystem_dims != (2, 2):
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"need a two-qubit state, got subsystem dims {rho.subsystem_dims}"
         )
     return np.einsum("ij,kij->k", rho.density_matrix(), _PAULI_PAIRS).real.reshape(3, 3)
@@ -264,11 +264,11 @@ def correspondence_scan(
     star trial therefore compares an all-involution network value with
     traceless-only edge values.
 
-    Before any state is drawn: OutOfRange is raised for fewer than one
-    trial or edge restart, and for ``ranks`` that are empty or hold an
-    entry outside 1..4, so a rank that no trial happens to draw is refused
-    too; InvalidScenario for a functional of another kind; DimensionGuard
-    when the n sources span more than TOTAL_DIMENSION_GUARD dimensions.
+    Before any state is drawn: InvalidInput is raised for fewer than one
+    trial or edge restart, for ``ranks`` that are empty or hold an entry
+    outside 1..4, so a rank that no trial happens to draw is refused too,
+    and for a functional of another kind; TooLarge when the n sources
+    span more than TOTAL_DIMENSION_GUARD dimensions.
 
     For bilocal the scan additionally records whether "both edges beat
     the local bound implies the network does" held. That implication is a
@@ -277,19 +277,19 @@ def correspondence_scan(
     can defeat it, which the report counts rather than hides.
     """
     if trials < 1:
-        raise OutOfRange("trials must be at least 1")
+        raise InvalidInput("trials must be at least 1")
     if edge_restarts < 1:
-        raise OutOfRange("edge restarts must be at least 1")
+        raise InvalidInput("edge restarts must be at least 1")
     if not ranks or any(r not in (1, 2, 3, 4) for r in ranks):
-        raise OutOfRange(f"ranks must be a non-empty list in 1..4, got {list(ranks)}")
+        raise InvalidInput(f"ranks must be a non-empty list in 1..4, got {list(ranks)}")
     if f.kind not in (Kind.BILOCAL, Kind.STAR, Kind.XI):
-        raise InvalidScenario(f"no correspondence scan for {f.kind.value}; "
-                              f"it covers bilocal, star and xi")
+        raise InvalidInput(f"no correspondence scan for {f.kind.value}; "
+                           f"it covers bilocal, star and xi")
     n = f.n
     # n two-qubit sources span 4^n dimensions; check before any state,
     # since the product density alone is (4^n) x (4^n).
     if 4**n > TOTAL_DIMENSION_GUARD:
-        raise DimensionGuard(
+        raise TooLarge(
             f"total dimension {4**n} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
+from .errors import InvalidInput, TooLarge
 from .functionals import LINEAR, Functional, build_sign_table, combine
 from .tolerances import WEIGHT_SUM
 
@@ -58,7 +58,7 @@ class HiddenVariableModel:
 
 def _check_pm_one(arr: np.ndarray, what: str) -> None:
     if not np.all(np.abs(arr) == 1):
-        raise ShapeMismatch(f"{what} entries must be +1 or -1")
+        raise InvalidInput(f"{what} entries must be +1 or -1")
 
 
 def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
@@ -67,11 +67,11 @@ def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
     so the value is exact."""
     central = np.array(s.central_responses, dtype=float)
     if central.shape != (f.n_terms,):
-        raise ShapeMismatch(f"central responses must have length {f.n_terms}")
+        raise InvalidInput(f"central responses must have length {f.n_terms}")
     model = HiddenVariableModel(
-        weights=(np.ones(1),) * f.parties,
+        weights=(np.ones(1),) * f.n,
         edge_responses=tuple(np.array([r], dtype=float) for r in s.edge_responses),
-        central_responses=central.reshape((1,) * f.parties + (-1,)),
+        central_responses=central.reshape((1,) * f.n + (-1,)),
     )
     return eval_model(f, model)
 
@@ -96,21 +96,21 @@ def enumerate_deterministic_max(
     absolute per-term products of its edge factors; the witness's central
     responses come from the winning row's products.
 
-    Raises ``SearchSpaceTooLarge`` before allocating anything when the
-    sweep's rows x terms exceed ``SEARCH_SPACE_GUARD`` or the (2^(m-1), T)
+    Raises ``TooLarge`` before allocating anything when the sweep's
+    rows x terms exceed ``SEARCH_SPACE_GUARD`` or the (2^(m-1), T)
     response table, shared by every party, exceeds ``_FLOAT_BUDGET`` floats,
     the budget of one chunk's (rows, T) products too.
     """
-    parties, n_terms = f.parties, f.n_terms
+    parties, n_terms = f.n, f.n_terms
     half = 2 ** (f.m - 1)
     rows = half**parties
     table = half * n_terms
     if rows * n_terms > SEARCH_SPACE_GUARD:
-        raise SearchSpaceTooLarge(
+        raise TooLarge(
             f"sweep of {rows} rows x {n_terms} terms exceeds {SEARCH_SPACE_GUARD}"
         )
     if table > _FLOAT_BUDGET:
-        raise SearchSpaceTooLarge(
+        raise TooLarge(
             f"response table of {table} floats exceeds {_FLOAT_BUDGET}"
         )
 
@@ -156,7 +156,7 @@ def _mixture_terms(
     number of sources is not capped by a letter alphabet: label 0 is the
     batch, labels 1..n the sources and n + 1 the term.
     """
-    parties = f.parties
+    parties = f.n
     sources = list(range(1, parties + 1))
     term = parties + 1
     operands: list = []
@@ -172,25 +172,25 @@ def eval_model(f: Functional, model: HiddenVariableModel) -> float:
     """Functional value of a finite n-local mixture, after checking its
     table shapes, its +1/-1 responses, and per source nonnegative weights
     summing to 1 within ``WEIGHT_SUM``."""
-    parties = f.parties
+    parties = f.n
     if len(model.weights) != parties or len(model.edge_responses) != parties:
-        raise ShapeMismatch(f"model must carry {parties} sources")
+        raise InvalidInput(f"model must carry {parties} sources")
 
     weights = [np.asarray(w, dtype=float) for w in model.weights]
     responses = [np.asarray(r, dtype=float) for r in model.edge_responses]
     for k in range(parties):
         if responses[k].shape != (weights[k].shape[0], f.m):
-            raise ShapeMismatch(f"edge response table {k} must be support x {f.m}")
+            raise InvalidInput(f"edge response table {k} must be support x {f.m}")
         _check_pm_one(responses[k], "edge response")
         if np.any(weights[k] < 0):
-            raise NegativeEntry(f"weights of source {k} must be nonnegative")
+            raise InvalidInput(f"weights of source {k} must be nonnegative")
         if not abs(weights[k].sum() - 1.0) <= WEIGHT_SUM:
-            raise OutOfRange(f"weights of source {k} must sum to 1")
+            raise InvalidInput(f"weights of source {k} must sum to 1")
 
     central = np.asarray(model.central_responses, dtype=float)
     expected = tuple(w.shape[0] for w in weights)
     if central.shape != expected + (f.n_terms,):
-        raise ShapeMismatch(
+        raise InvalidInput(
             f"central table must have shape {expected + (f.n_terms,)}"
         )
     _check_pm_one(central, "central response")
@@ -211,8 +211,8 @@ def random_model(
     ``size`` follows numpy: ``None`` draws one model, ``B`` draws B models
     with a leading batch axis, equal bit for bit to B draws of one model."""
     if support_size < 1:
-        raise OutOfRange(f"support size must be at least 1, got {support_size}")
-    parties, s = f.parties, int(support_size)
+        raise InvalidInput(f"support size must be at least 1, got {support_size}")
+    parties, s = f.n, int(support_size)
     cuts, bits = parties * (s - 1), parties * s * f.m
     u = rng.random((1 if size is None else size, cuts + bits + s**parties * f.n_terms))
     sorted_cuts = np.sort(u[:, :cuts].reshape(len(u), parties, s - 1))
@@ -248,16 +248,16 @@ def sample_nlocal_value(
     size. A chunk is one ``random_model(..., size=B)`` of at most
     ``_CHUNK`` uniforms, one ``_mixture_terms`` and one ``combine``, whose
     rows equal one-model rows bit for bit (tests check every kind).
-    Raises ``SearchSpaceTooLarge`` before any draw when one central table
-    would exceed ``MIXTURE_GUARD`` entries or the model would have more
+    Raises ``TooLarge`` before any draw when one central table would
+    exceed ``MIXTURE_GUARD`` entries or the model would have more
     than ``_MAX_MIXTURE_SOURCES`` sources.
     """
     if trials < 1:
-        raise OutOfRange("trials must be at least 1")
-    parties, s = f.parties, int(support_size)
+        raise InvalidInput("trials must be at least 1")
+    parties, s = f.n, int(support_size)
     table = s**parties * f.n_terms
     if table > MIXTURE_GUARD or parties > _MAX_MIXTURE_SOURCES:
-        raise SearchSpaceTooLarge(
+        raise TooLarge(
             f"mixture over {parties} sources of support {s} needs "
             f"{table} central table entries; limits are {MIXTURE_GUARD} entries "
             f"and {_MAX_MIXTURE_SOURCES} sources"
@@ -286,11 +286,11 @@ def root_sum_lemma_check(z: Sequence[Sequence[float]] | np.ndarray, n: int) -> b
     """
     arr = np.asarray(z, dtype=float)
     if arr.ndim != 2:
-        raise ValueError(f"z must be a 2-d matrix, got shape {arr.shape}")
+        raise InvalidInput(f"z must be a 2-d matrix, got shape {arr.shape}")
     if arr.shape[0] != n:
-        raise ValueError(f"z has {arr.shape[0]} rows but n={n}")
+        raise InvalidInput(f"z has {arr.shape[0]} rows but n={n}")
     if np.any(arr < 0):
-        raise NegativeEntry("z must be entrywise nonnegative")
+        raise InvalidInput("z must be entrywise nonnegative")
     lhs = float(np.sum(np.prod(arr, axis=0) ** (1.0 / n)))
     rhs = float(np.prod(np.sum(arr, axis=1) ** (1.0 / n)))
     return lhs <= rhs + 1e-12 * max(1.0, rhs)

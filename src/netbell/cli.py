@@ -29,15 +29,7 @@ import time
 from . import __version__, serialize
 from .certify import correspondence_scan, sos_certificate
 from .classical import enumerate_deterministic_max, sample_nlocal_value
-from .errors import (
-    DimensionGuard,
-    DimensionMismatch,
-    InvalidScenario,
-    MissingObservable,
-    OutOfRange,
-    SearchSpaceTooLarge,
-    ZeroNorm,
-)
+from .errors import InvalidInput, TooLarge, ZeroNorm
 from .functionals import (
     BIPARTITE_KINDS,
     Functional,
@@ -137,7 +129,7 @@ def _record(command, f, seed, value, artifacts=None, note=None, started=0.0) -> 
 def _settle_options(args, defaults: dict, applies: bool, run: str) -> None:
     """When the run uses the options of ``defaults``, give each one not
     given its default; when it does not, refuse every one that was given
-    (InvalidScenario, exit 2) instead of ignoring it."""
+    (InvalidInput, exit 2) instead of ignoring it."""
     if applies:
         for k, default in defaults.items():
             if getattr(args, k) is None:
@@ -145,7 +137,7 @@ def _settle_options(args, defaults: dict, applies: bool, run: str) -> None:
         return
     given = [f"--{k.replace('_', '-')}" for k in defaults if getattr(args, k) is not None]
     if given:
-        raise InvalidScenario(f"{', '.join(given)} not used by {run}")
+        raise InvalidInput(f"{', '.join(given)} not used by {run}")
 
 
 def _seesaw_config(args) -> SeesawConfig:
@@ -210,7 +202,7 @@ def _load_settings(path: str):
         try:
             obj = json.load(handle)
         except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+            raise InvalidInput("JSON nested too deeply") from None
     return serialize.settings_from_json(obj)
 
 
@@ -233,7 +225,7 @@ def cmd_certify(args) -> int:
 
     try:
         report = sos_certificate(f, state, assignment)
-    except (MissingObservable, DimensionMismatch) as exc:
+    except InvalidInput as exc:
         print(f"invalid settings: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZeroNorm as exc:
@@ -395,10 +387,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidScenario, OutOfRange) as exc:
+    except InvalidInput as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SearchSpaceTooLarge, DimensionGuard) as exc:
+    except TooLarge as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

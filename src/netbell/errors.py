@@ -1,54 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Every refusal raises one of
+the three leaf types, and the CLI reads its exit code off the type."""
 
 
-class NetbellError(Exception):
+class NetbellError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class NonHermitianInput(NetbellError, ValueError):
-    """A matrix that must be Hermitian is not, within tolerance."""
+class InvalidInput(NetbellError):
+    """An input the package refuses: a scenario, parameter, state,
+    observable, model or document that is malformed or does not fit
+    (CLI exit 2)."""
 
 
-class DimensionMismatch(NetbellError, ValueError):
-    """Operator and state (or two operators) have incompatible dimensions."""
+class TooLarge(NetbellError):
+    """A run whose search space, term table or Hilbert-space dimension
+    exceeds its guard (CLI exit 3)."""
 
 
-class NonUnitVector(NetbellError, ValueError):
-    """A Bloch vector that must have unit length does not."""
-
-
-class InvalidDimension(NetbellError, ValueError):
-    """A Hilbert-space dimension outside the supported range."""
-
-
-class InvalidScenario(NetbellError, ValueError):
-    """A (kind, m, n) combination that does not define a functional."""
-
-
-class MissingObservable(NetbellError, ValueError):
-    """An observable assignment does not cover every required input."""
-
-
-class ShapeMismatch(NetbellError, ValueError):
-    """A strategy or model whose response tables do not fit the scenario."""
-
-
-class SearchSpaceTooLarge(NetbellError, ValueError):
-    """Deterministic enumeration would exceed the search-space guard."""
-
-
-class NegativeEntry(NetbellError, ValueError):
-    """A matrix that must be entrywise nonnegative has a negative entry."""
-
-
-class ZeroNorm(NetbellError, ValueError):
+class ZeroNorm(NetbellError):
     """A signed observable sum annihilates the state, so the certificate
-    operator for that term is undefined."""
-
-
-class OutOfRange(NetbellError, ValueError):
-    """A scalar parameter outside its documented range."""
-
-
-class DimensionGuard(NetbellError, ValueError):
-    """Requested total Hilbert-space dimension exceeds the guard."""
+    operator for that term is undefined (certify exits 5)."""

@@ -18,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidScenario,
-    MissingObservable,
-    OutOfRange,
-    SearchSpaceTooLarge,
-)
+from .errors import InvalidInput, TooLarge
 from .qcore import expectation, tensor_all
 from .states import Observable, QuantumState
 
@@ -54,9 +48,9 @@ TABLE_BUDGET = 2**20
 def build_sign_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Sign rows (-1)^(bit) for the 2^(m-1) length-m bit strings whose
     first bit is zero, ordered by binary value: row i spells i-1 on bits
-    2..m, most significant first. Raises ``OutOfRange`` outside 2..16."""
+    2..m, most significant first. Raises ``InvalidInput`` outside 2..16."""
     if not 2 <= m <= 16:
-        raise OutOfRange(f"m must be in 2..16, got {m}")
+        raise InvalidInput(f"m must be in 2..16, got {m}")
     # product yields bits 2..m most significant first, +1 (bit 0) first.
     return tuple((1, *r) for r in itertools.product((1, -1), repeat=m - 1))
 
@@ -77,10 +71,10 @@ class Functional:
     and delta, the cyclic pairs for chained and xi. ``coefficients`` is
     the read-only (T, m) float array of those signs, ``coefficients[i, x]``
     the sign of setting x of every edge party in term i; every evaluator
-    reads it. Construction raises ``InvalidScenario`` for a (kind, m, n)
-    that defines no functional, ``OutOfRange`` for a sign-table m outside
-    2..16, and ``SearchSpaceTooLarge`` when the record's parties x T x m
-    term table would exceed ``TABLE_BUDGET`` entries.
+    reads it. Construction raises ``InvalidInput`` for a (kind, m, n)
+    that defines no functional or a sign-table m outside 2..16, and
+    ``TooLarge`` when the record's n x T x m term table would exceed
+    ``TABLE_BUDGET`` entries.
     """
 
     kind: Kind
@@ -91,21 +85,21 @@ class Functional:
     def __post_init__(self) -> None:
         kind, m, n = self.kind, self.m, self.n
         if kind in BIPARTITE_KINDS and n != 1:
-            raise InvalidScenario(f"{kind.value} is bipartite; n must be 1, got {n}")
+            raise InvalidInput(f"{kind.value} is bipartite; n must be 1, got {n}")
         if kind is Kind.BILOCAL and n != 2:
-            raise InvalidScenario(f"bilocal means two sources, got n={n}")
+            raise InvalidInput(f"bilocal means two sources, got n={n}")
         if kind in NETWORK_KINDS and n < 1:
-            raise InvalidScenario(f"need at least one source, got n={n}")
+            raise InvalidInput(f"need at least one source, got n={n}")
         if kind in (Kind.CHSH, Kind.BILOCAL, Kind.STAR) and m != 2:
-            raise InvalidScenario(f"{kind.value} has two settings per edge party, got m={m}")
+            raise InvalidInput(f"{kind.value} has two settings per edge party, got m={m}")
         if m < 2:
-            raise InvalidScenario(f"m must be at least 2, got {m}")
+            raise InvalidInput(f"m must be at least 2, got {m}")
         cyclic = kind in (Kind.CHAINED, Kind.XI)
         rows = None if cyclic else build_sign_table(m)
         n_terms = m if cyclic else len(rows)
-        if self.parties * n_terms * m > TABLE_BUDGET:
-            raise SearchSpaceTooLarge(f"term table of {self.parties} x {n_terms} x {m} "
-                                      f"entries exceeds {TABLE_BUDGET}")
+        if self.n * n_terms * m > TABLE_BUDGET:
+            raise TooLarge(f"term table of {self.n} x {n_terms} x {m} "
+                           f"entries exceeds {TABLE_BUDGET}")
         table = np.array(_chained_signs(m) if cyclic else rows, dtype=float)
         table.setflags(write=False)
         object.__setattr__(self, "coefficients", table)
@@ -118,12 +112,6 @@ class Functional:
     @property
     def n_terms(self) -> int:
         return self.coefficients.shape[0]
-
-    @property
-    def parties(self) -> int:
-        """Number of edge parties, n: construction already holds the
-        bipartite kinds to n = 1."""
-        return self.n
 
     def signed_sums(self, observables: Sequence[np.ndarray]) -> np.ndarray:
         """Per-term signed observable sums sum_x c[t, x] A_x of one edge
@@ -177,24 +165,24 @@ def assignment_sums(
     m observables per edge party, exactly one central observable per term,
     one state slot per party plus the central slot, and every observable
     of the slot's dimension."""
-    parties = f.parties
+    parties = f.n
     if len(observables.edge) != parties:
-        raise MissingObservable(
+        raise InvalidInput(
             f"need observables for {parties} edge parties, got {len(observables.edge)}"
         )
     for k, obs in enumerate(observables.edge):
         if len(obs) != f.m:
-            raise MissingObservable(
+            raise InvalidInput(
                 f"edge party {k} needs {f.m} observables, got {len(obs)}"
             )
     if len(observables.central) != f.n_terms:
-        raise MissingObservable(
+        raise InvalidInput(
             f"need {f.n_terms} central observables, one per term, "
             f"got {len(observables.central)}"
         )
     dims = state.subsystem_dims
     if len(dims) != parties + 1:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"state must have {parties + 1} slots, got {len(dims)}"
         )
     slots = [(f"edge party {k}", row) for k, row in enumerate(observables.edge)]
@@ -202,7 +190,7 @@ def assignment_sums(
     for (where, row), dim in zip(slots, dims):
         for x, o in enumerate(row):
             if o.dim != dim:
-                raise DimensionMismatch(
+                raise InvalidInput(
                     f"{where} observable {x} has dimension {o.dim}, "
                     f"its state slot {dim}"
                 )

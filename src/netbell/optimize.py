@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
+from .errors import InvalidInput, TooLarge, ZeroNorm
 from .functionals import (
     LINEAR,
     Functional,
@@ -67,13 +67,13 @@ class SeesawConfig:
 
     def __post_init__(self) -> None:
         if self.edge_dim < 2:
-            raise OutOfRange("edge_dim must be at least 2")
+            raise InvalidInput("edge_dim must be at least 2")
         if self.max_iters < 1:
-            raise OutOfRange("max_iters must be at least 1")
+            raise InvalidInput("max_iters must be at least 1")
         if not 0 < self.tol < math.inf:
-            raise OutOfRange("tol must be positive and finite")
+            raise InvalidInput("tol must be positive and finite")
         if self.restarts < 1:
-            raise OutOfRange("restarts must be at least 1")
+            raise InvalidInput("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def _seesaw_lockstep(
                 pending &= ~take
                 if not pending.any():
                     break
-        for k in range(f.parties):
+        for k in range(f.n):
             moved = _edge_update(f, edge[k], w, _steering(ws, ket, k, ops))
             cand_ops = ops[:k] + [f.signed_sums(moved)] + ops[k + 1 :]
             cand_corr, cand_value = score(ket, cand_ops)
@@ -299,7 +299,7 @@ def _seesaw_lockstep(
             )
         # Each term owns its central input, so this update maximizes I_i
         # (hence |I_i|) exactly and never decreases the objective.
-        ops[-1] = _sign_eig(_steering(ws, ket, f.parties, ops))
+        ops[-1] = _sign_eig(_steering(ws, ket, f.n, ops))
         corr, value = score(ket, ops)
 
         converged = value - before <= cfg.tol * np.maximum(1.0, np.abs(value))
@@ -338,18 +338,18 @@ def seesaw_optimize(
     D = 91 up. Each restart's result is the same either way.
     """
     cfg = cfg or SeesawConfig()
-    parties = f.parties
+    parties = f.n
     if fixed_state is not None:
         dims = tuple(fixed_state.subsystem_dims)
         if len(dims) != parties + 1:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"fixed state must have {parties + 1} slots, got {len(dims)}"
             )
     else:
         dims = (cfg.edge_dim,) * parties + (cfg.edge_dim**parties,)
     total = math.prod(dims)
     if total > TOTAL_DIMENSION_GUARD:
-        raise DimensionGuard(
+        raise TooLarge(
             f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 
@@ -383,9 +383,9 @@ def seesaw_optimize(
 def _vector_sums(f: Functional, vectors: np.ndarray) -> np.ndarray:
     """(parties, T, ambient) signed vector sums s_ik of a (parties, m,
     ambient) configuration; other shapes would broadcast, so are refused."""
-    if np.shape(vectors)[:2] != (f.parties, f.m):
-        raise DimensionMismatch(
-            f"need ({f.parties}, {f.m}, ambient) vectors, got shape {np.shape(vectors)}"
+    if np.shape(vectors)[:2] != (f.n, f.m):
+        raise InvalidInput(
+            f"need ({f.n}, {f.m}, ambient) vectors, got shape {np.shape(vectors)}"
         )
     return f.coefficients @ vectors
 
@@ -457,15 +457,15 @@ def vector_model_optimize(
     at most _ASCENT_ITERS steps. Returns the best value and its (parties,
     m, ambient) configuration of real unit vectors, one row of m per edge
     party, which ``realize`` turns into a state and assignment. It raises
-    OutOfRange for an ambient dimension or a restart count below 1 and
-    DimensionGuard above TOTAL_DIMENSION_GUARD, before drawing."""
+    InvalidInput for an ambient dimension or a restart count below 1 and
+    TooLarge above TOTAL_DIMENSION_GUARD, before drawing."""
     if ambient < 1:
-        raise OutOfRange("ambient dimension must be at least 1")
+        raise InvalidInput("ambient dimension must be at least 1")
     if restarts < 1:
-        raise OutOfRange("restarts must be at least 1")
+        raise InvalidInput("restarts must be at least 1")
     if ambient > TOTAL_DIMENSION_GUARD:
-        raise DimensionGuard(f"ambient {ambient} exceeds guard {TOTAL_DIMENSION_GUARD}")
-    parties = f.parties
+        raise TooLarge(f"ambient {ambient} exceeds guard {TOTAL_DIMENSION_GUARD}")
+    parties = f.n
     best_value, best_v = -np.inf, None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
@@ -511,4 +511,4 @@ def optimal_assignment(f: Functional) -> tuple[QuantumState, ObservableAssignmen
         v = np.array([[math.sin(a), math.cos(a)] for a in angles])
     else:
         v = np.eye(f.m)
-    return realize(f, np.array([v] * f.parties))
+    return realize(f, np.array([v] * f.n))

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NonHermitianInput
+from .errors import InvalidInput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .states import QuantumState
@@ -23,7 +23,7 @@ def as_matrix(m: np.ndarray | Iterable) -> np.ndarray:
     """Coerce to a square complex matrix."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+        raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -42,13 +42,13 @@ def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     mats = list(mats)
     if not mats:
-        raise ValueError("tensor_all needs at least one matrix")
+        raise InvalidInput("tensor_all needs at least one matrix")
     return reduce(tensor_product, mats)
 
 
 def _real_part(value: complex) -> float:
     if abs(value.imag) > tol.IMAG_DISCARD:
-        raise NonHermitianInput(
+        raise InvalidInput(
             f"expectation has imaginary residue {value.imag:.3e}; "
             "operator is not Hermitian on this state"
         )
@@ -62,7 +62,7 @@ def expectation(state: "QuantumState", op: np.ndarray) -> float:
     """
     arr = as_matrix(op)
     if arr.shape[0] != state.dim:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"operator dimension {arr.shape[0]} != state dimension {state.dim}"
         )
     if state.kind == "pure":

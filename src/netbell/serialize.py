@@ -2,7 +2,7 @@
 
 Complex matrices are encoded as ``{"re": [[...]], "im": [[...]]}`` and
 vectors as the same with flat lists; states additionally carry their
-``subsystem_dims``. Parsers raise ``ValueError`` naming the first invalid
+``subsystem_dims``. Parsers raise ``InvalidInput`` naming the first invalid
 field so CLI diagnostics can point at it.
 """
 
@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .classical import DeterministicStrategy
-from .errors import InvalidScenario
+from .errors import InvalidInput
 from .functionals import Functional, Kind, ObservableAssignment
 from .states import Observable, QuantumState
 
@@ -27,15 +27,15 @@ def dumps(obj: Any) -> str:
 
 def _field(obj: dict, key: str, path: str):
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
+        raise InvalidInput(f"{path}: expected an object")
     if key not in obj:
-        raise ValueError(f"{path}.{key}: missing field")
+        raise InvalidInput(f"{path}.{key}: missing field")
     return obj[key]
 
 
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{path}: expected a list")
+        raise InvalidInput(f"{path}: expected a list")
     return value
 
 
@@ -49,11 +49,11 @@ def _floats(obj: dict, key: str, path: str) -> np.ndarray:
         if isinstance(leaf, list):
             leaves.extend(reversed(leaf))
         elif type(leaf) not in (int, float):
-            raise ValueError(f"{path}.{key}: could not convert {leaf!r} to a number")
+            raise InvalidInput(f"{path}.{key}: could not convert {leaf!r} to a number")
     try:
         return np.asarray(value, dtype=float)
     except ValueError as exc:  # ragged lists
-        raise ValueError(f"{path}.{key}: {exc}") from exc
+        raise InvalidInput(f"{path}.{key}: {exc}") from exc
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -64,8 +64,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict, path: str = "matrix") -> np.ndarray:
     re, im = _floats(obj, "re", path), _floats(obj, "im", path)
     if re.shape != im.shape:
-        raise ValueError(f"{path}: re/im shapes differ")
-    return re + 1j * im
+        raise InvalidInput(f"{path}: re/im shapes differ")
+    # An infinite im entry gives 1j * im a NaN real part (0 * inf), which
+    # the state and observable checks refuse; numpy's warning would be a
+    # second diagnostic.
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
 
 
 def state_to_json(state: QuantumState) -> dict:
@@ -80,15 +84,15 @@ def state_from_json(obj: dict, path: str = "state") -> QuantumState:
     kind = _field(obj, "kind", path)
     dims = _field(obj, "subsystem_dims", path)
     if not isinstance(dims, list) or any(type(d) is not int or d < 1 for d in dims):
-        raise ValueError(f"{path}.subsystem_dims: must be a list of positive "
-                         f"integers, got {dims!r}")
+        raise InvalidInput(f"{path}.subsystem_dims: must be a list of positive "
+                           f"integers, got {dims!r}")
     data = matrix_from_json(_field(obj, "data", path), f"{path}.data")
     if kind not in ("pure", "density"):
-        raise ValueError(f"{path}.kind: must be 'pure' or 'density'")
+        raise InvalidInput(f"{path}.kind: must be 'pure' or 'density'")
     try:
         return QuantumState(kind, data, tuple(dims))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def observable_to_json(obs: Observable) -> dict:
@@ -100,7 +104,7 @@ def observable_from_json(obj: dict, path: str = "observable") -> Observable:
     try:
         return Observable(matrix)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def functional_to_json(f: Functional) -> dict:
@@ -117,7 +121,7 @@ def functional_to_json(f: Functional) -> dict:
 def _integer(obj: dict, key: str, path: str) -> int:
     value = _field(obj, key, path)
     if type(value) is not int:
-        raise InvalidScenario(f"{path}.{key}: must be an integer, got {value!r}")
+        raise InvalidInput(f"{path}.{key}: must be an integer, got {value!r}")
     return value
 
 
@@ -125,7 +129,7 @@ def functional_from_json(obj: dict, path: str = "functional") -> Functional:
     """The functional of the document's kind, m and n. Its ``combiner``
     and ``terms`` must be the JSON that functional writes (a ``true`` or
     ``1.0`` for a sign 1 differs); the first that differs is refused with
-    ``InvalidScenario`` naming the field."""
+    ``InvalidInput`` naming the field."""
     f = Functional(
         Kind(_field(obj, "kind", path)),
         _integer(obj, "m", path),
@@ -134,8 +138,8 @@ def functional_from_json(obj: dict, path: str = "functional") -> Functional:
     expected = functional_to_json(f)
     for key in ("combiner", "terms"):
         if dumps(_field(obj, key, path)) != dumps(expected[key]):
-            raise InvalidScenario(f"{path}.{key}: does not match {f.kind.value} "
-                                  f"with m={f.m}, n={f.n}")
+            raise InvalidInput(f"{path}.{key}: does not match {f.kind.value} "
+                               f"with m={f.m}, n={f.n}")
     return f
 
 

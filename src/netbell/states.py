@@ -15,13 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    NonHermitianInput,
-    NonUnitVector,
-    OutOfRange,
-)
+from .errors import InvalidInput
 from .qcore import as_matrix, is_hermitian, tensor_all
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,10 +42,10 @@ class Observable:
         # as any non-involution does, without a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             if not is_hermitian(arr):
-                raise NonHermitianInput("observable matrix is not Hermitian")
+                raise InvalidInput("observable matrix is not Hermitian")
             square = arr @ arr - np.eye(arr.shape[0])
             if not np.max(np.abs(square)) <= tol.INVOLUTION:
-                raise ValueError("observable is not an involution (A^2 != I)")
+                raise InvalidInput("observable is not an involution (A^2 != I)")
         object.__setattr__(self, "matrix", _frozen(arr))
 
     @property
@@ -71,7 +65,7 @@ class QuantumState:
     def __post_init__(self) -> None:
         for d in self.subsystem_dims:
             if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-                raise InvalidDimension(
+                raise InvalidInput(
                     f"subsystem dims must be positive integers, got {self.subsystem_dims!r}"
                 )
         dims = tuple(int(d) for d in self.subsystem_dims)
@@ -83,25 +77,25 @@ class QuantumState:
             if self.kind == "pure":
                 arr = arr.reshape(-1)
                 if arr.shape[0] != total:
-                    raise DimensionMismatch(
+                    raise InvalidInput(
                         f"vector length {arr.shape[0]} != product of dims {total}"
                     )
                 if not abs(np.linalg.norm(arr) - 1.0) <= tol.UNIT_NORM:
-                    raise ValueError("pure state vector is not normalized")
+                    raise InvalidInput("pure state vector is not normalized")
             elif self.kind == "density":
                 arr = as_matrix(arr)
                 if arr.shape[0] != total:
-                    raise DimensionMismatch(
+                    raise InvalidInput(
                         f"matrix dimension {arr.shape[0]} != product of dims {total}"
                     )
                 if not is_hermitian(arr):
-                    raise NonHermitianInput("density matrix is not Hermitian")
+                    raise InvalidInput("density matrix is not Hermitian")
                 if not abs(np.trace(arr).real - 1.0) <= tol.TRACE_ONE:
-                    raise ValueError("density matrix trace is not 1")
+                    raise InvalidInput("density matrix trace is not 1")
                 if float(np.linalg.eigvalsh(arr)[0]) < tol.PSD_FLOOR:
-                    raise ValueError("density matrix is not positive semidefinite")
+                    raise InvalidInput("density matrix is not positive semidefinite")
             else:
-                raise ValueError(f"unknown state kind {self.kind!r}")
+                raise InvalidInput(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "data", _frozen(arr))
         object.__setattr__(self, "subsystem_dims", dims)
 
@@ -121,14 +115,15 @@ class QuantumState:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Read-only (D, r) K with K K^dag = rho, computed on first use: the
-        vector when pure, else sqrt(eigenvalue)-scaled eigenvectors above
-        matrix_rank's cut."""
+        """Read-only, C-contiguous (D, r) K with K K^dag = rho, computed on
+        first use: the vector when pure, else sqrt(eigenvalue)-scaled
+        eigenvectors above matrix_rank's cut. The seesaw's sums depend on
+        the memory layout, so eigh's Fortran order is not passed on."""
         if self.kind == "pure":
             return self.data[:, None]
         lam, vecs = np.linalg.eigh(self.data)
         keep = lam > lam.max() * len(lam) * np.finfo(float).eps
-        out = vecs[:, keep] * np.sqrt(lam[keep])
+        out = np.ascontiguousarray(vecs[:, keep] * np.sqrt(lam[keep]))
         out.setflags(write=False)
         return out
 
@@ -143,16 +138,16 @@ def observable_from_bloch(v: Sequence[float]) -> Observable:
     """Observable v . sigma for a unit Bloch vector v = (vx, vy, vz)."""
     vec = np.asarray(v, dtype=float).reshape(-1)
     if vec.shape[0] != 3:
-        raise NonUnitVector("Bloch vector must have three components")
+        raise InvalidInput("Bloch vector must have three components")
     if abs(np.linalg.norm(vec) - 1.0) > tol.UNIT_NORM:
-        raise NonUnitVector(f"Bloch vector has norm {np.linalg.norm(vec)!r}, not 1")
+        raise InvalidInput(f"Bloch vector has norm {np.linalg.norm(vec)!r}, not 1")
     return Observable(vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z)
 
 
 def maximally_entangled(d: int) -> QuantumState:
     """(1/sqrt(d)) sum_i |ii> on subsystem dims (d, d)."""
     if d < 2:
-        raise InvalidDimension(f"local dimension must be at least 2, got {d}")
+        raise InvalidInput(f"local dimension must be at least 2, got {d}")
     vec = np.zeros(d * d, dtype=complex)
     vec[:: d + 1] = 1.0 / math.sqrt(d)
     return QuantumState.pure(vec, (d, d))
@@ -180,7 +175,7 @@ def random_two_qubit_density(seed: int, rank: int) -> QuantumState:
     standard-normal 4 x rank matrix drawn from ``default_rng(seed)``.
     """
     if rank not in (1, 2, 3, 4):
-        raise OutOfRange(f"rank must be in 1..4, got {rank}")
+        raise InvalidInput(f"rank must be in 1..4, got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
@@ -197,7 +192,7 @@ def anticommuting_set(m: int) -> list[Observable]:
     {G_i, G_j} = 2 delta_ij I.
     """
     if m < 2:
-        raise OutOfRange(f"need at least two observables, got m={m}")
+        raise InvalidInput(f"need at least two observables, got m={m}")
     q = m // 2
     eye = np.eye(2, dtype=complex)
     out: list[Observable] = []
@@ -219,10 +214,10 @@ def network_product_state(sources: Sequence[QuantumState]) -> QuantumState:
     slots grouped last, matching how functionals address the parties.
     """
     if not sources:
-        raise ValueError("need at least one source state")
+        raise InvalidInput("need at least one source state")
     for s in sources:
         if len(s.subsystem_dims) != 2:
-            raise DimensionMismatch("each source state must be bipartite")
+            raise InvalidInput("each source state must be bipartite")
     edge_dims = [s.subsystem_dims[0] for s in sources]
     central_dims = [s.subsystem_dims[1] for s in sources]
     n = len(sources)
@@ -230,13 +225,11 @@ def network_product_state(sources: Sequence[QuantumState]) -> QuantumState:
     pair_dims = [d for s in sources for d in s.subsystem_dims]
     out_dims = tuple(edge_dims) + (math.prod(central_dims),)
 
-    if all(s.kind == "pure" for s in sources):
-        vec = tensor_all([s.data for s in sources])
-        vec = vec.reshape(pair_dims).transpose(perm).reshape(-1)
-        return QuantumState.pure(vec, out_dims)
-
-    rho = tensor_all([s.density_matrix() for s in sources])
-    full_perm = perm + [p + 2 * n for p in perm]
-    rho = rho.reshape(pair_dims * 2).transpose(full_perm)
+    # A vector when every source is pure, else a matrix whose row and
+    # column axes are each permuted the same way.
+    pure = all(s.kind == "pure" for s in sources)
+    joint = tensor_all([s.data if pure else s.density_matrix() for s in sources])
+    axes = perm if pure else perm + [p + 2 * n for p in perm]
     total = math.prod(pair_dims)
-    return QuantumState.density(rho.reshape(total, total), out_dims)
+    joint = joint.reshape(pair_dims * joint.ndim).transpose(axes).reshape((total,) * joint.ndim)
+    return QuantumState("pure" if pure else "density", joint, out_dims)

@@ -16,7 +16,7 @@ from netbell.certify import (
     horodecki_chsh_max,
     sos_certificate,
 )
-from netbell.errors import DimensionMismatch, InvalidScenario, OutOfRange, ZeroNorm
+from netbell.errors import InvalidInput, ZeroNorm
 from netbell.functionals import (
     LINEAR,
     Kind,
@@ -63,7 +63,7 @@ class TestCorrelationMatrix:
         assert np.allclose(correlation_matrix(werner(p)), -p * np.eye(3), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="two-qubit"):
             correlation_matrix(QuantumState.pure([1, 0], (2,)))
 
     @staticmethod
@@ -485,7 +485,7 @@ class TestCorrespondenceScan:
         assert rep.satisfied
 
     def test_invalid_family(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidInput, match="no correspondence scan for chsh"):
             correspondence_scan(build_functional(Kind.CHSH, 2, 1), trials=1, seed=0)
 
     @pytest.mark.parametrize("ranks", [(), (0,), (1, 7), (5, 1)])
@@ -494,5 +494,5 @@ class TestCorrespondenceScan:
         monkeypatch.setattr(
             certify_mod, "_draw_states", lambda *a: pytest.fail("drew a state")
         )
-        with pytest.raises(OutOfRange, match="ranks"):
+        with pytest.raises(InvalidInput, match="ranks"):
             correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=1, seed=5, ranks=ranks)

@@ -16,7 +16,7 @@ from netbell.classical import (
     root_sum_lemma_check,
     sample_nlocal_value,
 )
-from netbell.errors import NegativeEntry, OutOfRange, SearchSpaceTooLarge, ShapeMismatch
+from netbell.errors import InvalidInput, TooLarge
 from netbell.functionals import (
     LINEAR,
     Kind,
@@ -46,10 +46,12 @@ class TestEvalStrategy:
         assert eval_strategy(XI32, s) == pytest.approx(4.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidInput, match="edge response table 0"):
             eval_strategy(CHSH, DeterministicStrategy(((1, 1, 1),), (1, 1)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidInput, match=r"must be \+1 or -1"):
             eval_strategy(CHSH, DeterministicStrategy(((1, 2),), (1, 1)))
+        with pytest.raises(InvalidInput, match="central responses must have length 2"):
+            eval_strategy(CHSH, DeterministicStrategy(((1, 1),), (1, 1, 1)))
 
     def test_central_sign_flip(self):
         edge = ((1, -1), (1, 1))
@@ -123,14 +125,14 @@ class TestEnumerate:
     def test_search_space_guard(self):
         # star n=26 sweeps 2^26 rows x 2 terms, one row over the guard;
         # n=25 (2^26 exactly) is admitted.
-        with pytest.raises(SearchSpaceTooLarge, match="rows"):
+        with pytest.raises(TooLarge, match="rows"):
             enumerate_deterministic_max(build_functional(Kind.STAR, 2, 26))
 
     def test_response_table_budget(self):
         # gm m=12: 2^11 rows x 2^11 terms is within the row guard, but the
         # (1, 2^11, 2^11) response table is four times the float budget.
         assert classical._FLOAT_BUDGET == 2**20
-        with pytest.raises(SearchSpaceTooLarge, match="response table"):
+        with pytest.raises(TooLarge, match="response table"):
             enumerate_deterministic_max(build_functional(Kind.GM, 12))
 
 
@@ -140,7 +142,7 @@ def full_sweep_max(f):
     was cut to one table per sign orbit."""
     tables = list(itertools.product((-1, 1), repeat=f.m))
     best_value, best_edge, best_prod = -np.inf, None, None
-    for edge in itertools.product(tables, repeat=f.parties):
+    for edge in itertools.product(tables, repeat=f.n):
         prod = np.ones(f.n_terms)
         for row in edge:
             prod *= f.coefficients @ np.array(row, dtype=float)
@@ -204,8 +206,8 @@ def assert_batched_rows_exact(f, support, count, seed):
     ]
     batched = classical._mixture_terms(
         f,
-        [np.stack([mo.weights[k] for mo in models]) for k in range(f.parties)],
-        [np.stack([mo.edge_responses[k] for mo in models]) for k in range(f.parties)],
+        [np.stack([mo.weights[k] for mo in models]) for k in range(f.n)],
+        [np.stack([mo.edge_responses[k] for mo in models]) for k in range(f.n)],
         np.stack([mo.central_responses for mo in models]),
     )
     one_by_one = np.concatenate([
@@ -265,7 +267,7 @@ class TestRandomModel:
         batch = random_model(f, support, batch_rng, size=5)
         for i in range(5):
             one = random_model(f, support, rng)
-            for k in range(f.parties):
+            for k in range(f.n):
                 assert np.array_equal(batch.weights[k][i], one.weights[k])
                 assert np.array_equal(batch.edge_responses[k][i], one.edge_responses[k])
             assert np.array_equal(batch.central_responses[i], one.central_responses)
@@ -276,13 +278,13 @@ class TestRandomModel:
     @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind.value)
     def test_weights_are_distributions_and_responses_are_signs(self, f, support):
         model = random_model(f, support, np.random.default_rng(9), size=200)
-        assert len(model.weights) == len(model.edge_responses) == f.parties
+        assert len(model.weights) == len(model.edge_responses) == f.n
         for w, r in zip(model.weights, model.edge_responses):
             assert w.shape == (200, support) and r.shape == (200, support, f.m)
             assert np.all(w >= 0)
             assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all(np.abs(r) == 1)
-        assert model.central_responses.shape == (200,) + (support,) * f.parties + (f.n_terms,)
+        assert model.central_responses.shape == (200,) + (support,) * f.n + (f.n_terms,)
         assert np.all(np.abs(model.central_responses) == 1)
 
 
@@ -347,18 +349,28 @@ class TestEvalModelChecks:
         ids=["edge-half", "edge-zero", "central-two"],
     )
     def test_responses_must_be_signs(self, change):
-        with pytest.raises(ShapeMismatch, match="must be \\+1 or -1"):
+        with pytest.raises(InvalidInput, match="must be \\+1 or -1"):
             eval_model(BILOCAL, _bilocal_model(**change))
+
+    def test_source_count(self):
+        model = _bilocal_model(weights=_bilocal_model().weights[:1])
+        with pytest.raises(InvalidInput, match="model must carry 2 sources"):
+            eval_model(BILOCAL, model)
+
+    def test_central_table_shape(self):
+        model = _bilocal_model(central_responses=np.ones((2, 2)))
+        with pytest.raises(InvalidInput, match=r"central table must have shape \(2, 2, 2\)"):
+            eval_model(BILOCAL, model)
 
     def test_negative_weight(self):
         model = _bilocal_model(weights=(np.array([1.5, -0.5]), np.array([0.5, 0.5])))
-        with pytest.raises(NegativeEntry, match="source 0"):
+        with pytest.raises(InvalidInput, match="source 0"):
             eval_model(BILOCAL, model)
 
     @pytest.mark.parametrize("second", [[0.5, 0.6], [0.3, 0.3], [0.5, 0.5 + 1e-9]])
     def test_weights_must_sum_to_one(self, second):
         model = _bilocal_model(weights=(np.array([0.25, 0.75]), np.array(second)))
-        with pytest.raises(OutOfRange, match="source 1"):
+        with pytest.raises(InvalidInput, match="source 1"):
             eval_model(BILOCAL, model)
 
 
@@ -380,5 +392,11 @@ class TestRootSumLemma:
             assert root_sum_lemma_check(z, n)
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(InvalidInput, match="nonnegative"):
             root_sum_lemma_check(np.array([[1.0, -0.1]]), 1)
+
+    def test_shape_checks(self):
+        with pytest.raises(InvalidInput, match="2-d matrix"):
+            root_sum_lemma_check(np.ones(3), 1)
+        with pytest.raises(InvalidInput, match="2 rows but n=3"):
+            root_sum_lemma_check(np.ones((2, 4)), 3)

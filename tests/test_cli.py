@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
@@ -6,18 +9,21 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netbell
 from netbell import serialize
 from netbell.classical import DeterministicStrategy
-from netbell.cli import main
-from netbell.errors import DimensionGuard
+from netbell.cli import SIGN_FAMILY_NOTE, main
+from netbell.errors import TooLarge
 from netbell.functionals import Kind, build_functional
 from netbell.optimize import SeesawConfig, optimal_assignment
 from netbell.states import QuantumState, maximally_entangled, network_product_state
@@ -235,6 +241,11 @@ class TestBoundCommand:
         rec = record_of(out)
         assert rec["value"] == 6.0
         assert "enumeration" in rec["note"]
+
+    def test_pretty_prints_the_note(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--expr", "gm", "--m", "3", "--out", "pretty")
+        assert code == 0
+        assert out.splitlines()[-1] == f"  note: {SIGN_FAMILY_NOTE}"
 
     def test_sample_method(self, capsys):
         code, out, _ = run_cli(
@@ -495,9 +506,23 @@ def _with_re(obs, re):
     return {**obs, "re": re}
 
 
+def _density(s, dims=(2, 2), skew=0.0):
+    """The settings with the state as a density on ``dims``; ``skew`` is
+    added to one off-diagonal entry, so any nonzero skew breaks Hermiticity."""
+    rho = serialize.state_from_json(s["state"]).density_matrix()
+    rho[0, 1] += skew
+    return {**s, "state": {"kind": "density", "data": serialize.matrix_to_json(rho),
+                           "subsystem_dims": list(dims)}}
+
+
 BAD_SETTINGS = {
     "nan_amplitude": lambda s: _first_amplitude(s, math.nan),
     "inf_amplitude": lambda s: _first_amplitude(s, math.inf),
+    # 1j * inf has a NaN real part; numpy's warning must not reach stderr.
+    "inf_imaginary_amplitude": lambda s: {
+        **s, "state": {**s["state"], "data": {**s["state"]["data"],
+                                              "im": [math.inf] + s["state"]["data"]["im"][1:]}}
+    },
     "one_slot_state": lambda s: {**s, "state": {**s["state"], "subsystem_dims": [4]}},
     "one_central_observable": lambda s: {
         **s, "central_observables": s["central_observables"][:1]
@@ -547,6 +572,19 @@ BAD_SETTINGS = {
     },
     # Raw text: json.load raises RecursionError, not JSONDecodeError.
     "deeply_nested": lambda s: "[" * 100000,
+    "ragged_matrix": lambda s: {
+        **s, "central_observables": [_with_re(o, [[1, 0], [0]]) for o in s["central_observables"]]
+    },
+    "re_im_shapes_differ": lambda s: {
+        **s, "central_observables": [{**o, "im": [[0.0, 0.0]]} for o in s["central_observables"]]
+    },
+    "state_kind_mixed": lambda s: {**s, "state": {**s["state"], "kind": "mixed"}},
+    "density_size_not_dims_product": lambda s: _density(s, dims=(2, 3)),
+    "density_non_hermitian": lambda s: _density(s, skew=0.1),
+    "observable_not_square": lambda s: {
+        **s, "central_observables": [{"re": [[1, 0, 0], [0, 1, 0]], "im": [[0, 0, 0]] * 2}] * 2
+    },
+    "two_edge_rows": lambda s: {**s, "edge_observables": s["edge_observables"] * 2},
 }
 
 
@@ -574,6 +612,10 @@ class TestInvalidInputExit2:
              "invalid settings file: settings.state: pure state vector is not normalized"),
             ("observable_true", "settings.edge_observables[0][0].re: could not convert True"),
             ("state_re_true", "settings.state.data.re: could not convert True"),
+            ("state_kind_mixed", "settings.state.kind: must be 'pure' or 'density'"),
+            ("density_non_hermitian", "settings.state: density matrix is not Hermitian"),
+            ("observable_not_square",
+             "settings.central_observables[0]: expected a square matrix, got shape (2, 3)"),
         ],
     )
     def test_certify_settings_names_the_field_once(self, capsys, tmp_path, case, field):
@@ -650,6 +692,8 @@ class TestInvalidInputExit2:
             ("optimize", "--expr", "bilocal", "--n", "3"),
             ("bound", "--expr", "gm", "--m", "3", "--n", "4"),
             ("correspondence", "--family", "star", "--m", "5"),
+            ("optimize", "--expr", "star", "--n", "0"),
+            ("bound", "--expr", "chained", "--m", "1"),
         ],
     )
     def test_conflicting_m_or_n(self, capsys, argv):
@@ -694,7 +738,7 @@ class TestOptionsOfTheRun:
 
         def stop(f, cfg):
             seen.append(cfg)
-            raise DimensionGuard("stop")
+            raise TooLarge("stop")
 
         monkeypatch.setattr(cli_mod, "seesaw_optimize", stop)
         assert run_cli(capsys, "certify", "--expr", "chsh", "--at-optimum")[0] == 3
@@ -861,3 +905,143 @@ class TestUsage:
 
     def test_unknown_expr_exit_2(self, capsys):
         assert run_cli(capsys, "optimize", "--expr", "ghz")[0] == 2
+
+
+def _main_quietly(argv):
+    """cli.main's exit code, stdout and stderr; hypothesis examples cannot
+    share pytest's function-scoped capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code, out, err):
+    assert code in (0, 2, 3, 4, 5, 6), (code, err)
+    lines = err.splitlines()
+    if code == 0:
+        assert err == "" and out
+    elif code == 6:
+        # A violated bound is reported in the record, not on stderr.
+        assert err == "" and record_of(out)["artifacts"]["satisfied"] is False
+    elif lines and lines[0].startswith("usage: "):
+        # argparse: the usage line, wrapped with indented continuations,
+        # then one error line.
+        assert ": error: " in lines[-1]
+        assert all(line.startswith(" ") for line in lines[1:-1])
+    else:
+        assert len(lines) == 1, err
+
+
+@functools.cache
+def _chsh_settings_text():
+    return json.dumps(_chsh_settings())
+
+
+_COUNT = st.integers(-1, 3)
+_TOL = st.sampled_from(["1e-14", "0.5", "0", "-1", "nan", "inf"])
+_OTHER_TYPE = st.sampled_from([None, True, "1.0", {}, [], 0, 2.5, {"re": 1}])
+_NUMBER = st.sampled_from([1e308, -1e308, 1e200, math.nan, math.inf, -math.inf, -0.0, 5e-324])
+_MISSHAPEN = st.sampled_from(
+    [[[1, 2, 3]], [[1], [1, 2]], [1, [2]], [[[1.0]]], [], [[]], 3, [[1, 0], [0, -1]]]
+)
+
+
+def _mutated_settings_text(draw):
+    """JSON text of the chsh optimal settings after one to three mutations:
+    a field or entry dropped, duplicated, retyped, nested up to 3000 lists
+    deep, or replaced by a huge, non-finite or misshapen number."""
+    root = {"doc": json.loads(_chsh_settings_text())}
+    nests = []
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = root, "doc"
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            node = parent[key]
+            parent, key = node, draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+        op = draw(st.sampled_from(["drop", "duplicate", "retype", "nest", "number", "shape"]))
+        if op == "drop" and parent is not root:
+            del parent[key]
+        elif op == "duplicate":
+            copy = json.loads(json.dumps(parent[key]))
+            if isinstance(parent, list):
+                parent.insert(key, copy)
+            else:
+                parent[draw(st.sampled_from(sorted(parent)))] = copy
+        elif op == "retype":
+            parent[key] = json.loads(json.dumps(draw(_OTHER_TYPE)))
+        elif op == "nest":
+            # Spliced into the text below: json.dumps itself recurses.
+            token = f"@nest{len(nests)}@"
+            nests.append((json.dumps(token), draw(st.integers(1, 3000)), parent[key]))
+            parent[key] = token
+        elif op == "number":
+            parent[key] = draw(_NUMBER)
+        elif op == "shape":
+            parent[key] = json.loads(json.dumps(draw(_MISSHAPEN)))
+    text = json.dumps(root["doc"])
+    for token, depth, value in reversed(nests):
+        text = text.replace(token, "[" * depth + json.dumps(value) + "]" * depth)
+    return text
+
+
+@st.composite
+def _argv(draw):
+    """A command line for one of the four subcommands. Every work count
+    the run uses is drawn in -1..3, since counts have no work guard yet;
+    an option the run may not use is sometimes added."""
+    command = draw(st.sampled_from(["optimize", "bound", "certify", "correspondence"]))
+    m, n = draw(st.integers(1, 5)), draw(st.none() | st.integers(-1, 4))
+    if command == "correspondence":
+        argv = [command, "--family", draw(st.sampled_from(["bilocal", "star", "xi"])),
+                "--trials", str(draw(_COUNT)), "--edge-restarts", str(draw(_COUNT)),
+                "--ranks", draw(st.sampled_from(["1", "2,4", "0", "x", ""]))]
+    else:
+        argv = [command, "--expr", draw(st.sampled_from([k.value for k in Kind]))]
+    argv += ["--m", str(m), "--seed", str(draw(_COUNT))]
+    if n is not None:
+        argv += ["--n", str(n)]
+    seesaw = ["--restarts", str(draw(_COUNT)), "--iters", str(draw(_COUNT)),
+              "--dim", str(draw(st.integers(-1, 2))), "--tol", draw(_TOL)]
+    if command == "optimize":
+        model = draw(st.sampled_from(["seesaw", "vector"]))
+        argv += ["--model", model] + (seesaw if model == "seesaw" else [])
+        extra = ["--ambient", "--dim", "--restarts", "--iters"]
+    elif command == "certify":
+        argv += ["--at-optimum"] + seesaw if draw(st.booleans()) else []
+        extra = ["--dim", "--restarts", "--iters"]
+    elif command == "bound":
+        method = draw(st.sampled_from(["formula", "enumerate", "sample"]))
+        argv += ["--method", method]
+        if method == "sample":
+            argv += ["--trials", str(draw(_COUNT)), "--support", str(draw(_COUNT))]
+        extra = ["--trials", "--support"]
+    else:
+        extra = []
+    if extra and draw(st.booleans()):
+        # At most --dim 2: --dim 3 with n = 3 is a D = 729 Lanczos seesaw.
+        argv += [draw(st.sampled_from(extra)), str(draw(st.integers(-1, 2)))]
+    return argv
+
+
+class TestExitCodeContract:
+    """Malformed input of any shape exits 0, 2, 3, 4, 5 or 6, never with
+    a traceback; a refusal writes one stderr line (argparse: its usage
+    and one error line)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_settings_document(self, data):
+        text = _mutated_settings_text(data.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "settings.json")
+            with open(path, "w") as handle:
+                handle.write(text)
+            _assert_exit_contract(
+                *_main_quietly(["certify", "--expr", "chsh", "--settings", path])
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_argv())
+    def test_command_line(self, argv):
+        _assert_exit_contract(*_main_quietly(argv))

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from netbell import functionals as fn
 from netbell import serialize
-from netbell.errors import (
-    DimensionMismatch,
-    InvalidScenario,
-    MissingObservable,
-    OutOfRange,
-    SearchSpaceTooLarge,
-)
+from netbell.errors import InvalidInput, TooLarge
 from netbell.functionals import (
     Kind,
     ObservableAssignment,
@@ -66,9 +60,9 @@ class TestSignTable:
             assert all(r[0] == 1 for r in rows)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="2..16"):
             build_sign_table(17)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="2..16"):
             build_sign_table(1)
 
 
@@ -97,20 +91,20 @@ class TestBuildFunctional:
         assert build_functional("chained", 4) == build_functional("chained", 4)
 
     def test_invalid_scenarios(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidInput, match="chsh has two settings"):
             build_functional(Kind.CHSH, 3, 1)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidInput, match="bipartite"):
             build_functional(Kind.CHSH, 2, 2)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidInput, match="bilocal means two sources"):
             build_functional(Kind.BILOCAL, 2, 3)
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidInput, match="star has two settings"):
             build_functional(Kind.STAR, 3, 2)
 
     def test_json_with_swapped_central_inputs(self):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         for term, x in zip(data["terms"], (1, 0)):
             term["central_input"] = x
-        with pytest.raises(InvalidScenario, match="functional.terms"):
+        with pytest.raises(InvalidInput, match="functional.terms"):
             serialize.functional_from_json(data)
 
     @pytest.mark.parametrize(
@@ -119,20 +113,20 @@ class TestBuildFunctional:
     )
     def test_table_within_budget_builds(self, kind, m, n, size):
         f = build_functional(kind, m, n)
-        assert f.parties * f.coefficients.size == size
+        assert f.n * f.coefficients.size == size
 
     @pytest.mark.parametrize(
         "kind,m,n",
         [(Kind.DELTA, 16, 3), (Kind.CHAINED, 1025, 1), (Kind.XI, 2, 2**18 + 1)],
     )
     def test_table_over_budget_refused(self, kind, m, n):
-        with pytest.raises(SearchSpaceTooLarge, match=str(fn.TABLE_BUDGET)):
+        with pytest.raises(TooLarge, match=str(fn.TABLE_BUDGET)):
             build_functional(kind, m, n)
 
     def test_sign_table_range_checked_before_budget(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="2..16"):
             build_functional(Kind.GM, 17, 1)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="2..16"):
             build_functional(Kind.DELTA, 10**9, 10**9)
 
 
@@ -193,7 +187,7 @@ class TestEvalFunctional:
         psi = network_product_state([PHI_PLUS, PHI_PLUS])
         _, correlators = eval_functional(f, psi, bilocal_assignment())
         for i, value in enumerate(correlators):
-            ceiling = np.abs(f.coefficients[i]).sum() ** f.parties
+            ceiling = np.abs(f.coefficients[i]).sum() ** f.n
             assert abs(value) <= ceiling + 1e-12
 
     def test_all_zero_signed_sum(self):
@@ -208,7 +202,7 @@ class TestEvalFunctional:
         f = build_functional(Kind.CHSH, 2, 1)
         wide = Observable(np.kron(SIGMA_Z, SIGMA_X))
         broken = ObservableAssignment(edge=chsh_assignment().edge, central=(wide, wide))
-        with pytest.raises(DimensionMismatch, match="central party observable 0"):
+        with pytest.raises(InvalidInput, match="central party observable 0"):
             eval_functional(f, SINGLET, broken)
 
     def test_missing_observable(self):
@@ -216,7 +210,7 @@ class TestEvalFunctional:
         broken = ObservableAssignment(
             edge=((Observable(SIGMA_Z),),), central=(Observable(SIGMA_Z),) * 2
         )
-        with pytest.raises(MissingObservable):
+        with pytest.raises(InvalidInput, match="edge party 0 needs 2 observables"):
             eval_functional(f, PHI_PLUS, broken)
 
     def test_root_sum_monotone_in_each_term(self):
@@ -317,7 +311,7 @@ class TestCoefficients:
     def test_json_refuses_ragged_or_missized_tables(self, mutate):
         data = serialize.functional_to_json(build_functional(Kind.XI, 3, 2))
         mutate(data)
-        with pytest.raises(InvalidScenario, match="functional.terms"):
+        with pytest.raises(InvalidInput, match="functional.terms"):
             serialize.functional_from_json(data)
 
     @pytest.mark.parametrize(
@@ -333,13 +327,13 @@ class TestCoefficients:
     def test_json_refuses_wrong_combiner_or_no_terms(self, kind, m, n, key, value, match):
         data = serialize.functional_to_json(build_functional(kind, m, n))
         data[key] = value
-        with pytest.raises(InvalidScenario, match=match):
+        with pytest.raises(InvalidInput, match=match):
             serialize.functional_from_json(data)
 
     def test_bipartite_table_has_one_party(self):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         _extra_party_in_every_term(data)
-        with pytest.raises(InvalidScenario, match="functional.terms"):
+        with pytest.raises(InvalidInput, match="functional.terms"):
             serialize.functional_from_json(data)
 
 
@@ -392,14 +386,14 @@ class TestJson:
     def test_non_integer_m_or_n_refused(self, field, value):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         data[field] = value
-        with pytest.raises(InvalidScenario, match=f"functional.{field}: must be an integer"):
+        with pytest.raises(InvalidInput, match=f"functional.{field}: must be an integer"):
             serialize.functional_from_json(data)
 
     @pytest.mark.parametrize("sign", [True, 1.0], ids=["bool", "float"])
     def test_non_integer_sign_refused(self, sign):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
         data["terms"][0]["signs"][0][0] = sign
-        with pytest.raises(InvalidScenario, match="functional.terms"):
+        with pytest.raises(InvalidInput, match="functional.terms"):
             serialize.functional_from_json(data)
 
     @settings(max_examples=60, deadline=None)
@@ -412,16 +406,16 @@ class TestJson:
 
         flipped = json.loads(json.dumps(doc))
         i, x = data.draw(st.sampled_from(np.argwhere(f.coefficients != 0).tolist()))
-        k = data.draw(st.integers(0, f.parties - 1))
+        k = data.draw(st.integers(0, f.n - 1))
         flipped["terms"][i]["signs"][k][x] *= -1
-        with pytest.raises(InvalidScenario, match="functional.terms"):
+        with pytest.raises(InvalidInput, match="functional.terms"):
             serialize.functional_from_json(flipped)
 
         moved = json.loads(json.dumps(doc))
         i = data.draw(st.integers(0, f.n_terms - 1))
         shift = data.draw(st.integers(1, f.n_terms - 1))
         moved["terms"][i]["central_input"] = (i + shift) % f.n_terms
-        with pytest.raises(InvalidScenario, match="functional.terms"):
+        with pytest.raises(InvalidInput, match="functional.terms"):
             serialize.functional_from_json(moved)
 
 

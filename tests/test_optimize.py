@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from netbell import optimize
 from netbell import tolerances as tol
 from netbell.certify import sos_certificate
-from netbell.errors import DimensionGuard, DimensionMismatch, OutOfRange, ZeroNorm
+from netbell.errors import InvalidInput, TooLarge, ZeroNorm
 from netbell.functionals import (
     BIPARTITE_KINDS,
     Kind,
@@ -160,7 +160,7 @@ class TestSeesaw:
     def test_fixed_state_with_wrong_slot_count(self):
         f = build_functional(Kind.STAR, 2, 3)
         rho = network_product_state([random_two_qubit_density(k, 1) for k in range(2)])
-        with pytest.raises(DimensionMismatch, match="fixed state must have 4 slots, got 3"):
+        with pytest.raises(InvalidInput, match="fixed state must have 4 slots, got 3"):
             seesaw_optimize(f, SeesawConfig(restarts=1), fixed_state=rho)
 
     def test_chsh_fixed_point_anticommutation(self):
@@ -186,7 +186,7 @@ class TestSeesaw:
 
     def test_dimension_guard(self):
         f = build_functional(Kind.STAR, 2, 3)
-        with pytest.raises(DimensionGuard):
+        with pytest.raises(TooLarge, match="total dimension"):
             seesaw_optimize(f, SeesawConfig(edge_dim=6, restarts=1))
 
     def test_config_validation(self):
@@ -200,7 +200,7 @@ class TestSeesaw:
             {"max_iters": 0},
             {"max_iters": -1},
         ):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(InvalidInput, match=next(iter(bad))):
                 SeesawConfig(**bad)
 
     def test_deterministic_given_seed(self):
@@ -214,7 +214,7 @@ def lockstep_runs(f, cfg, state=None):
     """The restarts of ``cfg`` run as one lockstep stack and each one alone,
     as a one-restart stack from the same generator."""
     if state is None:
-        dims, factor = (cfg.edge_dim,) * f.parties + (cfg.edge_dim**f.parties,), None
+        dims, factor = (cfg.edge_dim,) * f.n + (cfg.edge_dim**f.n,), None
     else:
         dims, factor = tuple(state.subsystem_dims), state.factor
     ws = _Workspace(dims)
@@ -355,7 +355,7 @@ def random_setting(f, dims, seed):
     rng = np.random.default_rng(seed)
     edge = [
         np.array([_random_involution(dims[k], rng) for _ in range(f.m)])
-        for k in range(f.parties)
+        for k in range(f.n)
     ]
     central = np.array(
         [_random_involution(dims[-1], rng) for _ in range(f.n_terms)]
@@ -416,7 +416,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
     def test_correlators_and_steering_match_eval_functional(self, kind, m, n):
         f = build_functional(kind, m, n)
-        dims = (2,) * f.parties + (2**f.parties,)
+        dims = (2,) * f.n + (2**f.n,)
         edge, central, psi = random_setting(f, dims, seed=f.n_terms + n)
         ops = slot_ops(f, edge, central)
         assignment = as_assignment(edge, central)
@@ -432,7 +432,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind,m,n", KERNEL_KINDS)
     def test_full_rank_density_matches_eval_functional(self, kind, m, n):
         f = build_functional(kind, m, n)
-        dims = (2,) * f.parties + (2**f.parties,)
+        dims = (2,) * f.n + (2**f.n,)
         edge, central, _ = random_setting(f, dims, seed=f.n_terms + 2 * n)
         ops = slot_ops(f, edge, central)
         total = int(np.prod(dims))
@@ -475,7 +475,7 @@ class TestBatchedKernel:
         # Entry t of a (T, D, r) stack gets term t's operators only, and a
         # one-entry stack gets every term's.
         f = build_functional(kind, m, n)
-        dims = (2,) * f.parties + (2**f.parties,)
+        dims = (2,) * f.n + (2**f.n,)
         edge, central, _ = random_setting(f, dims, seed=f.n_terms + 3 * n)
         ws = _Workspace(dims)
         ops = slot_ops(f, edge, central)
@@ -606,21 +606,21 @@ class TestVectorModel:
 
     def test_ambient_guard(self):
         f = build_functional(Kind.CHSH, 2, 1)
-        with pytest.raises(DimensionGuard):
+        with pytest.raises(TooLarge, match="ambient"):
             vector_model_optimize(f, ambient=TOTAL_DIMENSION_GUARD + 1)
 
     def test_zero_restarts_refused(self):
         # Without a restart there is no model to return.
         f = build_functional(Kind.CHSH, 2, 1)
-        with pytest.raises(OutOfRange, match="restarts"):
+        with pytest.raises(InvalidInput, match="restarts"):
             vector_model_optimize(f, ambient=2, restarts=0)
 
     def test_party_count_must_match(self):
         # A (3, 2, 2) stack would broadcast against chsh's one party.
         f = build_functional(Kind.CHSH, 2, 1)
-        with pytest.raises(DimensionMismatch, match="vectors"):
+        with pytest.raises(InvalidInput, match="vectors"):
             vector_model_value(f, np.ones((3, 2, 2)) / SQ2)
-        with pytest.raises(DimensionMismatch, match="vectors"):
+        with pytest.raises(InvalidInput, match="vectors"):
             realize(build_functional(Kind.STAR, 2, 3), np.array([np.eye(2)]))
 
     def test_value_of_explicit_model(self):
@@ -681,9 +681,9 @@ def vector_configurations(draw):
         n = 2 if kind is Kind.BILOCAL else draw(st.integers(1, 3))
     f = build_functional(kind, m, n)
     ambient = draw(st.integers(2, 5))
-    assume((2 ** (ambient // 2)) ** (2 * f.parties) <= 256)
+    assume((2 ** (ambient // 2)) ** (2 * f.n) <= 256)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v = rng.standard_normal((f.parties, m, ambient))
+    v = rng.standard_normal((f.n, m, ambient))
     return f, v / np.linalg.norm(v, axis=2, keepdims=True)
 
 
@@ -711,7 +711,7 @@ class TestRealize:
         f, v = case
         state, assignment = realize(f, v)
         d = 2 ** (v.shape[2] // 2)
-        assert state.subsystem_dims == (d,) * f.parties + (d**f.parties,)
+        assert state.subsystem_dims == (d,) * f.n + (d**f.n,)
         value, _ = eval_functional(f, state, assignment)
         assert value == pytest.approx(vector_model_value(f, v), abs=1e-12)
         report = sos_certificate(f, state, assignment)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netbell import qcore
-from netbell.errors import DimensionMismatch
+from netbell.errors import InvalidInput
 from netbell.states import SIGMA_X, SIGMA_Z, QuantumState
 
 SINGLET = QuantumState.pure(np.array([0, 1, -1, 0]) / np.sqrt(2), (2, 2))
@@ -42,6 +42,10 @@ class TestTensorProduct:
         lhs = qcore.tensor_product(a, b) @ qcore.tensor_product(c, d)
         rhs = qcore.tensor_product(a @ c, b @ d)
         assert np.allclose(lhs, rhs)
+
+    def test_tensor_all_needs_a_matrix(self):
+        with pytest.raises(InvalidInput, match="at least one matrix"):
+            qcore.tensor_all([])
 
     def test_associativity(self):
         rng = np.random.default_rng(7)
@@ -89,6 +93,10 @@ class TestExpectation:
         assert qcore.expectation(dens, np.eye(4)) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="operator dimension 2"):
             qcore.expectation(SINGLET, SIGMA_Z)
+
+    def test_imaginary_residue(self):
+        with pytest.raises(InvalidInput, match="imaginary residue"):
+            qcore.expectation(QuantumState.pure([1, 0], (2,)), 1j * np.eye(2))
 

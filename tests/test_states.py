@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from netbell import qcore, states
-from netbell.errors import (
-    InvalidDimension,
-    NonHermitianInput,
-    NonUnitVector,
-    OutOfRange,
-)
+from netbell.errors import InvalidInput
 from netbell.states import (
     SIGMA_X,
     SIGMA_Y,
@@ -32,18 +27,18 @@ def partial_trace_first(rho, d1, d2):
 
 class TestObservable:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(InvalidInput, match="not Hermitian"):
             Observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_non_involution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="involution"):
             Observable(np.diag([1.0, 0.5]))
 
     def test_rejects_square_that_overflows_to_nan(self):
         # Hermitian, but A^2 has an inf - inf = NaN entry, which a ">" test
         # would let through.
         a = 1e200 * (1 + 1j)
-        with pytest.raises(ValueError, match="involution"):
+        with pytest.raises(InvalidInput, match="involution"):
             Observable(np.array([[0, a], [np.conj(a), 0]]))
 
     def test_dim(self):
@@ -52,33 +47,37 @@ class TestObservable:
 
 class TestQuantumState:
     def test_pure_norm_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="not normalized"):
             QuantumState.pure([1.0, 1.0], (2,))
 
     def test_density_trace_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="trace"):
             QuantumState.density(np.eye(2), (2,))
 
     def test_density_psd_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="positive semidefinite"):
             QuantumState.density(np.diag([1.5, -0.5]), (2,))
 
     def test_subsystem_dims_product(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInput, match="product of dims"):
             QuantumState.pure([1, 0, 0, 0], (2, 3))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_pure_state_rejected(self, bad):
         # NaN compares False with everything, so a "norm off by more than
         # the tolerance" test would let it through.
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="not normalized"):
             QuantumState.pure([bad, 0, 0, 0], (2, 2))
 
     @pytest.mark.parametrize("dims", [(2.7, 2.2), (-2, -2), (True, 4), (0, 4), (2.0, 2)])
     def test_subsystem_dims_must_be_positive_integers(self, dims):
         # (2.7, 2.2) used to become (2, 2); the others multiply to 4.
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(InvalidInput, match="positive integers"):
             QuantumState.pure([1, 0, 0, 0], dims)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidInput, match="unknown state kind 'mixed'"):
+            QuantumState("mixed", np.array([1, 0]), (2,))
 
     def test_numpy_integer_dims_accepted(self):
         state = QuantumState.pure([1, 0, 0, 0], (np.int64(2), np.int32(2)))
@@ -104,6 +103,13 @@ class TestFactor:
         with pytest.raises(ValueError):
             k[0, 0] = 0.0
 
+    @pytest.mark.parametrize("rank", [None, 1, 2, 4])
+    def test_factor_is_c_contiguous(self, rank):
+        # eigh returns Fortran-ordered eigenvectors, and the seesaw's sums
+        # depend on the factor's memory layout as well as its values.
+        state = maximally_entangled(2) if rank is None else random_two_qubit_density(5, rank)
+        assert state.factor.flags.c_contiguous
+
     @pytest.mark.parametrize("make", [lambda: maximally_entangled(2),
                                       lambda: random_two_qubit_density(3, 2)])
     def test_computed_once(self, make):
@@ -127,8 +133,12 @@ class TestObservableFromBloch:
         assert np.allclose(lam, [-1.0, 1.0])
 
     def test_rejects_non_unit(self):
-        with pytest.raises(NonUnitVector):
+        with pytest.raises(InvalidInput, match="norm"):
             observable_from_bloch([1, 1, 0])
+
+    def test_rejects_two_components(self):
+        with pytest.raises(InvalidInput, match="three components"):
+            observable_from_bloch([1, 0])
 
 
 class TestMaximallyEntangled:
@@ -149,7 +159,7 @@ class TestMaximallyEntangled:
         assert np.allclose(coeffs, np.full(4, 0.25) ** 0.5)
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(InvalidInput, match="local dimension"):
             maximally_entangled(1)
 
 
@@ -198,7 +208,7 @@ class TestRandomTwoQubitDensity:
         assert np.array_equal(a, b)
 
     def test_rank_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="rank must be in 1..4"):
             random_two_qubit_density(seed=0, rank=5)
 
 
@@ -229,7 +239,7 @@ class TestAnticommutingSet:
                 assert np.max(np.abs(anti)) <= 1e-10
 
     def test_m_too_small(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="two observables"):
             anticommuting_set(1)
 
 
@@ -253,3 +263,59 @@ class TestNetworkProductState:
         b = network_product_state([dens, dens])
         rho_a = np.outer(a.data, a.data.conj())
         assert np.allclose(rho_a, b.data)
+
+    def test_needs_bipartite_sources(self):
+        with pytest.raises(InvalidInput, match="at least one source"):
+            network_product_state([])
+        with pytest.raises(InvalidInput, match="bipartite"):
+            network_product_state([maximally_entangled(2), QuantumState.pure([1, 0], (2,))])
+
+    @staticmethod
+    def two_branch_reference(sources):
+        """The joint state built on separate pure and density routes."""
+        n = len(sources)
+        perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+        pair_dims = [d for s in sources for d in s.subsystem_dims]
+        out_dims = tuple(s.subsystem_dims[0] for s in sources) + (
+            math.prod(s.subsystem_dims[1] for s in sources),
+        )
+        if all(s.kind == "pure" for s in sources):
+            vec = qcore.tensor_all([s.data for s in sources])
+            vec = vec.reshape(pair_dims).transpose(perm).reshape(-1)
+            return QuantumState.pure(vec, out_dims)
+        rho = qcore.tensor_all([s.density_matrix() for s in sources])
+        full_perm = perm + [p + 2 * n for p in perm]
+        rho = rho.reshape(pair_dims * 2).transpose(full_perm)
+        total = math.prod(pair_dims)
+        return QuantumState.density(rho.reshape(total, total), out_dims)
+
+    @staticmethod
+    def random_source(rng, dims, rank):
+        """A random state on ``dims``: pure when ``rank`` is None, else a
+        Ginibre density of that rank."""
+        d = math.prod(dims)
+        g = rng.standard_normal((d, rank or 1)) + 1j * rng.standard_normal((d, rank or 1))
+        if rank is None:
+            return QuantumState.pure(g[:, 0] / np.linalg.norm(g), dims)
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        return QuantumState.density((rho + rho.conj().T) / 2, dims)
+
+    def test_one_route_matches_two_branches(self):
+        # Pure, mixed-rank and mixed pure/density source lists, bit for bit.
+        rng = np.random.default_rng(2112)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            dims = [((2, 2), (2, 3), (3, 2), (1, 2))[int(rng.integers(4))] for _ in range(n)]
+            if math.prod(math.prod(d) for d in dims) > 64:
+                dims = [(2, 2)] * n
+            pure = rng.random() < 0.3
+            sources = [
+                self.random_source(
+                    rng, d, None if pure or rng.random() < 0.3
+                    else int(rng.integers(1, math.prod(d) + 1)))
+                for d in dims
+            ]
+            got, want = network_product_state(sources), self.two_branch_reference(sources)
+            assert (got.kind, got.subsystem_dims) == (want.kind, want.subsystem_dims)
+            assert np.array_equal(got.data, want.data)
