@@ -3,10 +3,10 @@ strategies, randomized n-local mixture sampling, and the root-sum lemma.
 
 Sources are independent, so a deterministic strategy fixes one +1/-1
 response per input for every edge party and for the central party. The
-enumeration sweeps one edge response table per sign orbit and resolves
-the central responses exactly (for every edge table the optimal central
-choice is computable in closed form, which coincides with enumerating
-them).
+enumeration sweeps one edge response table per sign orbit and one order
+of each multiset of party tables, and resolves the central responses
+exactly (for every edge table the optimal central choice is computable
+in closed form, which coincides with enumerating them).
 """
 
 from __future__ import annotations
@@ -76,6 +76,15 @@ def eval_strategy(f: Functional, s: DeterministicStrategy) -> float:
     return eval_model(f, model)
 
 
+def _extend(digits: np.ndarray, half: int) -> np.ndarray:
+    """Every row's nondecreasing one-digit extensions below ``half``, lexicographic."""
+    last = digits[:, -1]
+    counts = half - last
+    rep = np.repeat(np.arange(len(digits)), counts)
+    new = np.arange(len(rep)) - np.repeat(np.cumsum(counts) - counts - last, counts)
+    return np.column_stack([digits[rep], new])
+
+
 def enumerate_deterministic_max(
     f: Functional,
 ) -> tuple[float, DeterministicStrategy]:
@@ -88,18 +97,22 @@ def enumerate_deterministic_max(
     floating point; root-sum kinds take |.| and for linear kinds the
     closed-form central choice absorbs the sign, so the value is unchanged.
     Each orbit's lexicographically smallest member has every party's first
-    response -1, so sweeping the 2^(m-1) such tables per party keeps both
-    the maximum and the smallest witness, on a sweep 2^parties times
-    smaller than all (2^m)^parties edge tables.
+    response -1, so 2^(m-1) tables per party keep the maximum and witness.
+    Of their digit tuples only the C(2^(m-1) + n - 1, n) nondecreasing ones
+    are swept, lexicographically. All parties read one response table with
+    |entry| <= m <= 2^(m-1), so products are integers of size at most
+    2^((m-1) n) <= 2^25 (row guard), exact in any factor order: a permuted
+    row gets a bit-identical ``combine``. A maximizer's sorted digits are a
+    maximizer no larger, so the first sorted one is the full sweep's smallest.
 
     A row's value with the best central responses is ``combine`` of the
     absolute per-term products of its edge factors; the witness's central
     responses come from the winning row's products.
 
-    Raises ``TooLarge`` before allocating anything when the sweep's
-    rows x terms exceed ``SEARCH_SPACE_GUARD`` or the (2^(m-1), T)
-    response table, shared by every party, exceeds ``_FLOAT_BUDGET`` floats,
-    the budget of one chunk's (rows, T) products too.
+    Raises ``TooLarge`` before allocating anything when the ordered sweep's
+    2^((m-1) n) rows x terms exceed ``SEARCH_SPACE_GUARD`` or the
+    (2^(m-1), T) response table, shared by every party, exceeds
+    ``_FLOAT_BUDGET`` floats, the budget of one chunk's (rows, T) products too.
     """
     parties, n_terms = f.n, f.n_terms
     half = 2 ** (f.m - 1)
@@ -118,24 +131,26 @@ def enumerate_deterministic_max(
     signs = -np.array(build_sign_table(f.m), dtype=float)
     responses = signs @ f.coefficients.T
 
-    shape = (half,) * parties
-    chunk = _FLOAT_BUDGET // max(n_terms, 16)
+    # A leading 0 column floors the first digit; each chunk drops it.
+    prefixes = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(parties - 1):
+        prefixes = _extend(prefixes, half)
+    # Prefixes per chunk; each extends to at most half <= chunk rows.
+    step = _FLOAT_BUDGET // max(n_terms, 16) // half
     best_value = -np.inf
-    for start in range(0, rows, chunk):
-        digits = np.unravel_index(np.arange(start, min(start + chunk, rows)), shape)
-        prod = np.ones((digits[0].size, n_terms))
+    for start in range(0, len(prefixes), step):
+        digits = _extend(prefixes[start : start + step], half)[:, 1:]
+        prod = np.ones((len(digits), n_terms))
         for k in range(parties):
-            prod *= responses[digits[k]]
-        vals = combine(f, np.abs(prod))
+            prod *= responses[digits[:, k]]
+        vals = combine(f, np.abs(prod, out=prod))
         arg = int(np.argmax(vals))
         if vals[arg] > best_value:
-            best_value = float(vals[arg])
-            best_index, best_prod = start + arg, prod[arg].copy()
+            best_value, best_digits = float(vals[arg]), digits[arg].copy()
 
-    digits = np.unravel_index(best_index, shape)
-    edge = tuple(tuple(int(v) for v in signs[d]) for d in digits)
+    edge = tuple(tuple(int(v) for v in signs[d]) for d in best_digits)
     if f.combiner == LINEAR:
-        central = tuple(1 if p > 0 else -1 for p in best_prod)
+        central = tuple(1 if p > 0 else -1 for p in responses[best_digits].prod(axis=0))
     else:
         central = tuple([-1] * f.n_terms)
     witness = DeterministicStrategy(edge_responses=edge, central_responses=central)

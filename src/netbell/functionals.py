@@ -132,6 +132,8 @@ class ObservableAssignment:
 
 def build_functional(kind: Kind | str, m: int, n: int = 1) -> Functional:
     """The functional of a (kind, m, n) scenario; idempotent."""
+    if kind not in [k.value for k in Kind]:
+        raise InvalidInput(f"unknown kind {kind!r}")
     return Functional(Kind(kind), m, n)
 
 
@@ -215,10 +217,10 @@ def sign_family_classical_bound(m: int) -> int:
     """Classical bound of the sign-table families: m * C(m-1, floor((m-1)/2)).
 
     Equals sum_{j=0}^{floor(m/2)} C(m, j) (m - 2j). Exhaustive enumeration
-    over deterministic strategies confirms it for gm up to m = 11 (60, 140,
-    280 at m = 6, 7, 8) and for delta m = 6, n = 2 (60). The halved sweep
-    of gm m is 2^(m-1) rows x 2^(m-1) terms; past m = 11 its response
-    table exceeds the enumeration's float budget.
+    confirms it for gm up to m = 11 (60, 140, 280 at m = 6, 7, 8) and for
+    delta at every admitted m <= 9, n <= 13 (n up to 12, 7, 5, 4, 3, 2, 2
+    for m = 3 .. 9). The halved sweep of gm m is 2^(m-1) rows x 2^(m-1)
+    terms; past m = 11 its response table exceeds the enumeration's budget.
     """
     return m * math.comb(m - 1, (m - 1) // 2)
 

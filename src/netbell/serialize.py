@@ -128,10 +128,13 @@ def _integer(obj: dict, key: str, path: str) -> int:
 def functional_from_json(obj: dict, path: str = "functional") -> Functional:
     """The functional of the document's kind, m and n. Its ``combiner``
     and ``terms`` must be the JSON that functional writes (a ``true`` or
-    ``1.0`` for a sign 1 differs); the first that differs is refused with
-    ``InvalidInput`` naming the field."""
+    ``1.0`` for a sign 1 differs); an unknown kind, or the first field
+    that differs, is refused with ``InvalidInput`` naming the field."""
+    kind = _field(obj, "kind", path)
+    if kind not in [k.value for k in Kind]:
+        raise InvalidInput(f"{path}.kind: unknown kind {kind!r}")
     f = Functional(
-        Kind(_field(obj, "kind", path)),
+        Kind(kind),
         _integer(obj, "m", path),
         _integer(obj, "n", path),
     )
@@ -184,13 +187,17 @@ def strategy_to_json(s: DeterministicStrategy) -> dict:
     }
 
 
+def _signs(value, path: str) -> tuple[int, ...]:
+    for i, v in enumerate(_list(value, path)):
+        if type(v) is not int or abs(v) != 1:
+            raise InvalidInput(f"{path}[{i}]: must be +1 or -1, got {v!r}")
+    return tuple(value)
+
+
 def strategy_from_json(obj: dict, path: str = "strategy") -> DeterministicStrategy:
+    edges = f"{path}.edge_responses"
+    rows = _list(_field(obj, "edge_responses", path), edges)
     return DeterministicStrategy(
-        edge_responses=tuple(
-            tuple(int(v) for v in row)
-            for row in _field(obj, "edge_responses", path)
-        ),
-        central_responses=tuple(
-            int(v) for v in _field(obj, "central_responses", path)
-        ),
+        tuple(_signs(row, f"{edges}[{k}]") for k, row in enumerate(rows)),
+        _signs(_field(obj, "central_responses", path), f"{path}.central_responses"),
     )

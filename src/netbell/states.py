@@ -75,7 +75,8 @@ class QuantumState:
         # huge finite entries overflow to inf or NaN there, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "pure":
-                arr = arr.reshape(-1)
+                if arr.ndim != 1:
+                    raise InvalidInput(f"pure state data must be a vector, got shape {arr.shape}")
                 if arr.shape[0] != total:
                     raise InvalidInput(
                         f"vector length {arr.shape[0]} != product of dims {total}"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from netbell.functionals import (
     Kind,
     _roots,
     build_functional,
+    build_sign_table,
     classical_bound,
+    combine,
     sign_family_classical_bound,
 )
 
@@ -178,6 +181,132 @@ def test_orbit_sweep_matches_full_sweep(kind, m, n):
     value, witness = enumerate_deterministic_max(f)
     assert (value, witness) == full_sweep_max(f)
     assert eval_strategy(f, witness) == value
+
+
+def orbit_sweep_max(f):
+    """Reference: every ordered tuple of the 2^(m-1) sign-orbit tables,
+    (2^(m-1))^parties rows in row-major order, each chunk valued by one
+    ``combine`` and the first maximizer kept, as the sweep did before it was
+    cut to one ordering per multiset of tables."""
+    parties, n_terms = f.n, f.n_terms
+    half = 2 ** (f.m - 1)
+    rows = half**parties
+    signs = -np.array(build_sign_table(f.m), dtype=float)
+    responses = signs @ f.coefficients.T
+    shape = (half,) * parties
+    chunk = classical._FLOAT_BUDGET // max(n_terms, 16)
+    best_value = -np.inf
+    for start in range(0, rows, chunk):
+        digits = np.unravel_index(np.arange(start, min(start + chunk, rows)), shape)
+        prod = np.ones((digits[0].size, n_terms))
+        for k in range(parties):
+            prod *= responses[digits[k]]
+        vals = combine(f, np.abs(prod))
+        arg = int(np.argmax(vals))
+        if vals[arg] > best_value:
+            best_value = float(vals[arg])
+            best_index, best_prod = start + arg, prod[arg].copy()
+    digits = np.unravel_index(best_index, shape)
+    edge = tuple(tuple(int(v) for v in signs[d]) for d in digits)
+    if f.combiner == LINEAR:
+        central = tuple(1 if p > 0 else -1 for p in best_prod)
+    else:
+        central = tuple([-1] * f.n_terms)
+    return best_value, DeterministicStrategy(edge, central)
+
+
+@pytest.mark.parametrize(
+    "kind,m,n",
+    [
+        (Kind.STAR, 2, 12),
+        (Kind.XI, 3, 7),
+        (Kind.DELTA, 3, 6),
+        (Kind.DELTA, 4, 5),
+        (Kind.XI, 4, 5),
+        (Kind.GM, 6, 1),
+        (Kind.CHAINED, 5, 1),
+    ],
+)
+def test_multiset_sweep_matches_ordered_sweep(kind, m, n):
+    f = build_functional(kind, m, n)
+    value, witness = enumerate_deterministic_max(f)
+    expected_value, expected_witness = orbit_sweep_max(f)
+    assert value.hex() == expected_value.hex()
+    assert witness == expected_witness
+
+
+def _build(kind, m, n):
+    """The functional of (kind, m, n), or None where it defines none."""
+    try:
+        return build_functional(kind, m, n)
+    except InvalidInput:
+        return None
+
+
+def test_enumeration_matches_formula_on_grid():
+    # Every scenario with m <= 9 and n <= 13 that builds: the guards admit
+    # 129 and refuse 110.
+    admitted = refused = 0
+    for kind, m, n in itertools.product(Kind, range(2, 10), range(1, 14)):
+        f = _build(kind, m, n)
+        if f is None:
+            continue
+        try:
+            value, witness = enumerate_deterministic_max(f)
+        except TooLarge:
+            refused += 1
+            continue
+        assert value == classical_bound(f), (kind, m, n)
+        assert eval_strategy(f, witness) == value, (kind, m, n)
+        admitted += 1
+    assert (admitted, refused) == (129, 110)
+
+
+@pytest.mark.parametrize(
+    "kind,m,n", [(Kind.STAR, 2, 12), (Kind.XI, 3, 7), (Kind.DELTA, 4, 3), (Kind.GM, 3, 1)]
+)
+@pytest.mark.parametrize("prefixes_per_chunk", [1, 3])
+def test_chunks_sweep_each_sorted_tuple_once_in_order(monkeypatch, kind, m, n, prefixes_per_chunk):
+    f = build_functional(kind, m, n)
+    half = 2 ** (m - 1)
+    one_chunk = enumerate_deterministic_max(f)
+    chunks = []
+    extend = classical._extend
+
+    def recording(digits, h):
+        out = extend(digits, h)
+        if out.shape[1] == n + 1:  # a chunk's rows, after the leading 0 column
+            chunks.append(out[:, 1:])
+        return out
+
+    budget = 16 * half * prefixes_per_chunk
+    monkeypatch.setattr(classical, "_extend", recording)
+    monkeypatch.setattr(classical, "_FLOAT_BUDGET", budget)
+    assert enumerate_deterministic_max(f) == one_chunk
+    assert all(len(c) <= budget // max(f.n_terms, 16) for c in chunks)
+    assert len(chunks) > 1 or n == 1
+    rows = [tuple(row) for c in chunks for row in c.tolist()]
+    assert len(rows) == math.comb(half + n - 1, n)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert rows == list(itertools.combinations_with_replacement(range(half), n))
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_response_entries_fit_the_exactness_bound(kind):
+    # |response| <= 2^(m-1) keeps every product of n responses at most
+    # 2^((m-1) n), which the row guard keeps far below 2^53. The largest
+    # |entry| of signs @ coefficients.T is the largest row sum of
+    # |coefficients| (a row's own signs attain it, up to a global flip);
+    # the table itself is checked where it is small.
+    for m in range(2, 17):
+        f = _build(kind, m, 1) or _build(kind, m, 2)
+        if f is None:
+            continue
+        largest = np.abs(f.coefficients).sum(axis=1).max()
+        assert largest <= min(m, 2 ** (m - 1))
+        if m <= 9:
+            signs = np.array(build_sign_table(m), dtype=float)
+            assert np.abs(signs @ f.coefficients.T).max() == largest
 
 
 ALL_KINDS = [

@@ -23,7 +23,7 @@ import netbell
 from netbell import serialize
 from netbell.classical import DeterministicStrategy
 from netbell.cli import SIGN_FAMILY_NOTE, main
-from netbell.errors import TooLarge
+from netbell.errors import InvalidInput, TooLarge
 from netbell.functionals import Kind, build_functional
 from netbell.optimize import SeesawConfig, optimal_assignment
 from netbell.states import QuantumState, maximally_entangled, network_product_state
@@ -92,6 +92,36 @@ class TestSerialize:
     def test_strategy_round_trip(self):
         s = DeterministicStrategy(((1, -1), (1, 1)), (-1, 1))
         assert serialize.strategy_from_json(serialize.strategy_to_json(s)) == s
+
+    @pytest.mark.parametrize("value", ["a", None, True, 1.7, 2, -1.0, 0])
+    @pytest.mark.parametrize(
+        "field", ["edge_responses[0][1]", "edge_responses[1][0]", "central_responses[1]"]
+    )
+    def test_strategy_responses_must_be_integer_signs(self, field, value):
+        doc = serialize.strategy_to_json(DeterministicStrategy(((1, -1), (1, 1)), (-1, 1)))
+        key, *index = re.findall(r"\w+", field)
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[int(i)]
+        target[int(index[-1])] = value
+        with pytest.raises(InvalidInput, match=re.escape(f"strategy.{field}: must be +1 or -1")):
+            serialize.strategy_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc,match",
+        [
+            ({"edge_responses": 5, "central_responses": [1]},
+             r"strategy.edge_responses: expected a list"),
+            ({"edge_responses": [None], "central_responses": [1]},
+             r"strategy.edge_responses\[0\]: expected a list"),
+            ({"edge_responses": [[1]], "central_responses": "1"},
+             r"strategy.central_responses: expected a list"),
+            ({"edge_responses": [[1]]}, r"strategy.central_responses: missing field"),
+        ],
+    )
+    def test_strategy_tables_must_be_lists(self, doc, match):
+        with pytest.raises(InvalidInput, match=match):
+            serialize.strategy_from_json(doc)
 
     def test_missing_field_is_named(self):
         with pytest.raises(ValueError, match="state.subsystem_dims"):
@@ -585,6 +615,12 @@ BAD_SETTINGS = {
         **s, "central_observables": [{"re": [[1, 0, 0], [0, 1, 0]], "im": [[0, 0, 0]] * 2}] * 2
     },
     "two_edge_rows": lambda s: {**s, "edge_observables": s["edge_observables"] * 2},
+    # Pure states carry flat arrays; a 2x2 re/im is not reshaped into one.
+    "pure_state_as_matrix": lambda s: {
+        **s, "state": {**s["state"], "data": {
+            part: [values[:2], values[2:]] for part, values in s["state"]["data"].items()
+        }}
+    },
 }
 
 
@@ -616,6 +652,8 @@ class TestInvalidInputExit2:
             ("density_non_hermitian", "settings.state: density matrix is not Hermitian"),
             ("observable_not_square",
              "settings.central_observables[0]: expected a square matrix, got shape (2, 3)"),
+            ("pure_state_as_matrix",
+             "settings.state: pure state data must be a vector, got shape (2, 2)"),
         ],
     )
     def test_certify_settings_names_the_field_once(self, capsys, tmp_path, case, field):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,15 @@ class TestBuildFunctional:
             build_functional(Kind.BILOCAL, 2, 3)
         with pytest.raises(InvalidInput, match="star has two settings"):
             build_functional(Kind.STAR, 3, 2)
+
+    @pytest.mark.parametrize("kind", ["bogus", "CHSH", None, 5, ["chsh"]])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(InvalidInput, match=re.escape(f"unknown kind {kind!r}")):
+            build_functional(kind, 2)
+        data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))
+        data["kind"] = kind
+        with pytest.raises(InvalidInput, match=re.escape(f"functional.kind: unknown kind {kind!r}")):
+            serialize.functional_from_json(data)
 
     def test_json_with_swapped_central_inputs(self):
         data = serialize.functional_to_json(build_functional(Kind.CHSH, 2, 1))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestQuantumState:
         # (2.7, 2.2) used to become (2, 2); the others multiply to 4.
         with pytest.raises(InvalidInput, match="positive integers"):
             QuantumState.pure([1, 0, 0, 0], dims)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 1), (1, 4), (1, 2, 2)])
+    def test_pure_data_must_be_flat(self, shape):
+        # A unit vector of the right length, but not written as a vector.
+        data = np.array([1, 0, 0, 0], dtype=complex).reshape(shape)
+        with pytest.raises(InvalidInput, match=re.escape(f"got shape {shape}")):
+            QuantumState.pure(data, (2, 2))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput, match="unknown state kind 'mixed'"):
