@@ -18,7 +18,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +46,7 @@ from .states import (
     PAULIS,
     QuantumState,
     network_product_state,
+    random_two_qubit_densities,
     random_two_qubit_density,
 )
 
@@ -57,36 +57,50 @@ _PAULI_PAIRS = np.array([np.kron(sr, ss).T for sr in PAULIS for ss in PAULIS])
 _PAULI_PAIRS.setflags(write=False)
 
 
-def correlation_matrix(rho: QuantumState) -> np.ndarray:
+def correlation_matrix(rho: QuantumState | np.ndarray) -> np.ndarray:
     """3x3 Pauli correlation matrix t[r,s] = Tr[rho (sigma_r x sigma_s)],
-    Pauli order (x, y, z)."""
-    if rho.subsystem_dims != (2, 2):
-        raise InvalidInput(
-            f"need a two-qubit state, got subsystem dims {rho.subsystem_dims}"
-        )
-    return np.einsum("ij,kij->k", rho.density_matrix(), _PAULI_PAIRS).real.reshape(3, 3)
+    Pauli order (x, y, z), of a two-qubit state, or the (N, 3, 3) stack of
+    an (N, 4, 4) stack of density matrices."""
+    if isinstance(rho, QuantumState):
+        if rho.subsystem_dims != (2, 2):
+            raise InvalidInput(
+                f"need a two-qubit state, got subsystem dims {rho.subsystem_dims}"
+            )
+        rho = rho.density_matrix()
+    elif np.shape(rho)[-2:] != (4, 4):
+        raise InvalidInput(f"need (N, 4, 4) density matrices, got shape {np.shape(rho)}")
+    t = np.einsum("...ij,kij->...k", rho, _PAULI_PAIRS).real
+    return t.reshape(t.shape[:-1] + (3, 3))
 
 
 def _descending_spectrum(t: np.ndarray) -> np.ndarray:
     """Eigenvalues of T^T T, largest first, clipped at 0: the squared
-    singular values of T."""
-    return np.clip(np.linalg.eigvalsh(t.T @ t)[::-1], 0.0, None)
+    singular values of T, or of each matrix of a (..., 3, 3) stack."""
+    return np.clip(np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)[..., ::-1], 0.0, None)
 
 
-def horodecki_chsh_max(rho: QuantumState) -> float:
+def _float_or_stack(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def horodecki_chsh_max(rho: QuantumState | np.ndarray) -> float | np.ndarray:
     """Closed-form CHSH maximum 2 sqrt(t1 + t2) from the two largest
-    eigenvalues of T^T T.
+    eigenvalues of T^T T, of one state or, as an (N,) array, of each
+    density matrix of an (N, 4, 4) stack.
 
     The maximum is over traceless qubit observables a.sigma (unit Bloch
     vectors a) on each side, not over all Hermitian involutions: +-I would
     reach 2 on any state."""
     sq = _descending_spectrum(correlation_matrix(rho))
-    return float(2.0 * math.sqrt(sq[0] + sq[1]))
+    return _float_or_stack(2.0 * np.sqrt(sq[..., 0] + sq[..., 1]))
 
 
-def bilocal_max_pair(rho_ab: QuantumState, rho_bc: QuantumState) -> float:
+def bilocal_max_pair(
+    rho_ab: QuantumState | np.ndarray, rho_bc: QuantumState | np.ndarray
+) -> float | np.ndarray:
     """Two-source network maximum 2 sqrt(a1 h1 + a2 h2) from the descending
-    singular values of the two correlation matrices.
+    singular values of the two correlation matrices, of one pair of states
+    or, as an (N,) array, of each pair of two (N, 4, 4) density stacks.
 
     The maximum is over class O: traceless a.sigma for the edge parties,
     and a central party that measures each source qubit along two
@@ -96,7 +110,9 @@ def bilocal_max_pair(rho_ab: QuantumState, rho_bc: QuantumState) -> float:
     above this value in general."""
     alpha = np.sqrt(_descending_spectrum(correlation_matrix(rho_ab)))
     eta = np.sqrt(_descending_spectrum(correlation_matrix(rho_bc)))
-    return float(2.0 * math.sqrt(alpha[0] * eta[0] + alpha[1] * eta[1]))
+    return _float_or_stack(
+        2.0 * np.sqrt(alpha[..., 0] * eta[..., 0] + alpha[..., 1] * eta[..., 1])
+    )
 
 
 @dataclass(frozen=True)
@@ -136,9 +152,9 @@ def sos_certificate(
     sqrt(Tr(rho M_i^dag M_i)), the Frobenius norms of M_i K, and
     gamma v = sum_i (w_i/2) M_i M_i v, which does not depend on r. Its
     minimum eigenvalue comes from the seesaw's eigensolver: dense eigh of
-    gamma(I) up to the dense limit, Lanczos above it on
-    gamma + (sum_i w_i) I from a fixed generic start, never from the
-    state, which lies in gamma's kernel at an optimum.
+    gamma(I) up to the dense limit, Lanczos above it from a fixed generic
+    start, never from the state, which lies in gamma's kernel at an
+    optimum and would be returned as the eigenvector it is.
 
     Raises ZeroNorm when a signed observable sum annihilates the state;
     the residual operator for that term is undefined there.
@@ -171,11 +187,10 @@ def sos_certificate(
 
     m_k = residual(factor).reshape(f.n_terms, -1)
     residuals = _norms(m_k)
-    shift = weights.sum()  # moves gamma's minimum, about 0, away from 0 for ARPACK
 
     def gamma(v):
         mmv = residual(residual(v.reshape(1, state.dim, -1)))
-        return np.tensordot(weights / 2, mmv, axes=1).reshape(v.shape) + shift * v
+        return np.tensordot(weights / 2, mmv, axes=1).reshape(v.shape)
 
     bound, value = combine(f, [omegas, correlators]).tolist()
     return SOSReport(
@@ -186,7 +201,7 @@ def sos_certificate(
         residuals=tuple(residuals.tolist()),
         bound_from_omegas=bound,
         gap=bound - value,
-        gamma_min_eig=float(_extreme_eig(gamma, state.dim, "SA")[0] - shift),
+        gamma_min_eig=float(_extreme_eig(gamma, state.dim, "SA")[0]),
     )
 
 
@@ -209,13 +224,14 @@ class CorrespondenceReport:
     implication_failures: int | None
 
 
-def _draw_states(
+def _draw_seeds(
     rng: np.random.Generator, count: int, ranks: Sequence[int]
-) -> list[QuantumState]:
+) -> list[tuple[int, int]]:
+    """(seed, rank) of each of ``count`` random two-qubit states."""
     out = []
     for _ in range(count):
         rank = int(ranks[int(rng.integers(0, len(ranks)))])
-        out.append(random_two_qubit_density(int(rng.integers(2**63)), rank))
+        out.append((int(rng.integers(2**63)), rank))
     return out
 
 
@@ -293,50 +309,46 @@ def correspondence_scan(
             f"total dimension {4**n} exceeds guard {TOTAL_DIMENSION_GUARD}"
         )
 
-    bilocal = f.kind is Kind.BILOCAL
-    results = []
-    implication_failures = 0 if bilocal else None
     children = np.random.SeedSequence(seed).spawn(trials)
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        states = _draw_states(rng, n, ranks)
-
-        if f.kind is Kind.XI:
-            edge_f = build_functional(Kind.CHAINED, f.m, 1)
-            edge_values = tuple(
-                _fixed_state_max(edge_f, s, edge_restarts, int(rng.integers(2**63)))
-                for s in states
-            )
-        else:
-            edge_values = tuple(horodecki_chsh_max(s) for s in states)
-        if bilocal:
-            network = bilocal_max_pair(states[0], states[1])
-        else:
-            network = _fixed_state_max(
+    if f.kind is Kind.BILOCAL:
+        # Every trial's two states in one stack, (trial, source) in draw order.
+        draws = [d for c in children for d in _draw_seeds(np.random.default_rng(c), n, ranks)]
+        rho = random_two_qubit_densities(*zip(*draws))
+        edges = horodecki_chsh_max(rho).reshape(trials, n)
+        network = bilocal_max_pair(rho[0::2], rho[1::2])
+    else:
+        edges, network = np.empty((trials, n)), np.empty(trials)
+        for t, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            states = [random_two_qubit_density(*d) for d in _draw_seeds(rng, n, ranks)]
+            if f.kind is Kind.XI:
+                edge_f = build_functional(Kind.CHAINED, f.m, 1)
+                edges[t] = [_fixed_state_max(edge_f, s, edge_restarts, int(rng.integers(2**63)))
+                            for s in states]
+            else:
+                edges[t] = [horodecki_chsh_max(s) for s in states]
+            network[t] = _fixed_state_max(
                 f, network_product_state(states), edge_restarts, int(rng.integers(2**63))
             )
 
-        bound = float(np.prod([v ** (1.0 / n) for v in edge_values]))
-        both = net_violates = None
-        if bilocal:
-            both, net_violates = all(v > 2.0 for v in edge_values), network > 2.0
-            if both and not net_violates:
-                implication_failures += 1
-        results.append(
-            TrialResult(
-                trial=t,
-                edge_values=edge_values,
-                network_value=network,
-                bound=bound,
-                margin=bound - network,
-                satisfied=network <= bound + 1e-9,
-                both_violate=both,
-                network_violates=net_violates,
-            )
+    # float_power is C pow, as Python's ``**`` is.
+    bound = np.prod(np.float_power(edges, 1.0 / n), axis=1)
+    satisfied = network <= bound + 1e-9
+    if f.kind is Kind.BILOCAL:
+        both, net_violates = np.all(edges > 2.0, axis=1), network > 2.0
+        implication_failures = int(np.sum(both & ~net_violates))
+        flags = zip(both.tolist(), net_violates.tolist())
+    else:
+        implication_failures, flags = None, [(None, None)] * trials
+    results = tuple(
+        TrialResult(trial=t, edge_values=tuple(e), network_value=v, bound=b, margin=b - v,
+                    satisfied=ok, both_violate=both_t, network_violates=net_t)
+        for t, (e, v, b, ok, (both_t, net_t)) in enumerate(
+            zip(edges.tolist(), network.tolist(), bound.tolist(), satisfied.tolist(), flags)
         )
-
+    )
     return CorrespondenceReport(
-        results=tuple(results),
-        satisfied=all(r.satisfied for r in results),
+        results=results,
+        satisfied=bool(satisfied.all()),
         implication_failures=implication_failures,
     )

@@ -267,7 +267,7 @@ def cmd_correspondence(args) -> int:
         "satisfied": report.satisfied,
         "implication_failures": report.implication_failures,
         "min_margin": min_margin,
-        "results": [dataclasses.asdict(r) for r in report.results],
+        "results": [vars(r) for r in report.results],
     }
     record = _record("correspondence", f, args.seed, min_margin, artifacts, started=started)
     if args.out:

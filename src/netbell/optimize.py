@@ -46,6 +46,10 @@ from .states import (
 
 TOTAL_DIMENSION_GUARD = 2**12
 _DENSE_EIG_LIMIT = 128
+# Restarts keep k Ritz vectors to resolve a top cluster of up to k near-equal
+# eigenvalues; k = 4 stalls on five within 1e-6 at D = 1024. CLI solves take
+# at most about 330 matvecs.
+_LANCZOS_BASIS, _LANCZOS_KEEP, _LANCZOS_MATVECS = 32, 12, 5000
 _WEIGHT_CLAMP = 1e-9
 _ASCENT_ITERS = 3000
 
@@ -160,40 +164,61 @@ def _weights(f: Functional, correlators: np.ndarray) -> np.ndarray:
     return np.where(np.any(w, axis=-1, keepdims=True), w, np.where(correlators < 0, -1.0, 1.0))
 
 
+def _lanczos_top(apply, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenpair of the Hermitian v -> apply(v) by thick-restart
+    Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) from
+    v. The basis keeps its images, so a restart to the top _LANCZOS_KEEP
+    Ritz vectors costs no matvec; each new direction is the newest image
+    after two Gram-Schmidt passes. The solve stops once the top Ritz pair
+    has ||A y - theta y|| <= LANCZOS_RESIDUAL * max(1, |theta|), so a start
+    that is already an eigenvector, top or not, is returned as it is,
+    normalized, after one matvec; RuntimeError after _LANCZOS_MATVECS."""
+    basis = np.empty((_LANCZOS_BASIS, len(v)), dtype=complex)
+    images, h, k = np.empty_like(basis), np.zeros((_LANCZOS_BASIS,) * 2, dtype=complex), 0
+    for _ in range(_LANCZOS_MATVECS):
+        basis[k] = v / np.linalg.norm(v)
+        images[k] = apply(basis[k])
+        h[k, : k + 1] = images[: k + 1] @ basis[k].conj()
+        k += 1
+        theta, s = np.linalg.eigh(h[:k, :k])
+        y, ay = s[:, -1] @ basis[:k], s[:, -1] @ images[:k]
+        if np.linalg.norm(ay - theta[-1] * y) <= tol.LANCZOS_RESIDUAL * max(1.0, abs(theta[-1])):
+            return theta[-1], y
+        v = images[k - 1]
+        for _ in range(2):
+            v = v - (basis[:k].conj() @ v) @ basis[:k]
+        if k == _LANCZOS_BASIS:
+            keep = s[:, -_LANCZOS_KEEP:].T
+            basis[:_LANCZOS_KEEP], images[:_LANCZOS_KEEP] = keep @ basis, keep @ images
+            h[:_LANCZOS_KEEP, :_LANCZOS_KEEP] = np.diag(theta[-_LANCZOS_KEEP:])
+            k = _LANCZOS_KEEP
+    raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_MATVECS} matvecs")
+
+
 def _extreme_eig(apply, total: int, which: str, v0: np.ndarray | None = None):
     """Largest ("LA") or smallest ("SA") eigenpair of the Hermitian v -> apply(v)
     on C^total: dense eigh of apply(I), which may be a stack, up to
-    _DENSE_EIG_LIMIT, else Lanczos from v0 or, when None, a fixed seeded
-    start. ARPACK's stopping test is relative to the eigenvalue, so shift
-    an operator whose extreme one is 0."""
+    _DENSE_EIG_LIMIT, else ``_lanczos_top`` of apply or, for "SA", of
+    -apply, from v0 or, when None, a fixed seeded start. Nothing is drawn
+    inside the solver, so a repeated solve gives the same bits."""
     if total <= _DENSE_EIG_LIMIT:
         vals, vecs = np.linalg.eigh(apply(np.eye(total)))
         k = -1 if which == "LA" else 0
         return vals[..., k], vecs[..., k]
-    import scipy.sparse.linalg  # only this branch needs scipy
     if v0 is None:
         v0 = np.random.default_rng(0).standard_normal((total, 2)) @ [1, 1j]
-    op = scipy.sparse.linalg.LinearOperator((total, total), matvec=apply, dtype=complex)
-    # eigsh hands a complex operator to eigs without its rng, and ARPACK's
-    # replacement start vectors then come from OS entropy; calling eigs
-    # with a fixed rng keeps every solve reproducible.
-    which = "LR" if which == "LA" else "SR"
-    try:
-        vals, vecs = scipy.sparse.linalg.eigs(op, k=1, which=which, v0=v0, rng=0)
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        # A start vector that is already an extreme eigenvector to rounding
-        # (the state at an optimum) can leave a residual ARPACK's default
-        # machine-precision tolerance never accepts.
-        vals, vecs = scipy.sparse.linalg.eigs(
-            op, k=1, which=which, v0=v0, tol=tol.LANCZOS_RETRY, rng=0
-        )
-    return vals[0].real, vecs[:, 0]
+    if which == "LA":
+        return _lanczos_top(apply, v0)
+    theta, y = _lanczos_top(lambda v: -apply(v), v0)
+    return -theta, y
 
 
 def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """(R, D) top eigenvectors of the linearized Bell operators
     sum_t w[r, t] ops[r, t]: one stacked dense eigh up to the dense limit,
-    else one Lanczos solve per restart r, started from psi0[r]."""
+    else one Lanczos solve per restart r, started from its state psi0[r].
+    Near convergence that state is the top eigenvector to rounding, and
+    the solve ends after a matvec or two."""
     if len(w) > 1 and math.prod(ws.dims) > _DENSE_EIG_LIMIT:
         rows = (slice(r, r + 1) for r in range(len(w)))
         return np.concatenate([_top_eigvec(ws, [op[s] for op in ops], w[s], psi0[s]) for s in rows])
@@ -333,9 +358,10 @@ def seesaw_optimize(
     nondecreasing; a restart that fails to make progress is reported with
     ``converged=False``. The first restart with the best value is returned.
 
-    Restarts run in seed order as lockstep stacks of max(1, 128^2 // D^2)
-    at total dimension D: all of them at small D, one at a time from
-    D = 91 up. Each restart's result is the same either way.
+    Restarts run in seed order as lockstep stacks of max(1, 128^2 // (D c))
+    at total dimension D, with c = D for the free state and c = r for a
+    fixed (D, r) factor: all of them at small D c, one at a time once
+    D c exceeds 8192. Each restart's result is the same either way.
     """
     cfg = cfg or SeesawConfig()
     parties = f.n
@@ -356,9 +382,11 @@ def seesaw_optimize(
     factor = None if fixed_state is None else fixed_state.factor
     ws = _Workspace(dims)
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
-    # A stack of R restarts holds R x T x D^2 entries in its dense Bell build;
-    # R x D^2 <= limit^2 keeps it within one restart's build at the limit.
-    size = max(1, _DENSE_EIG_LIMIT**2 // total**2)
+    # A stack of R restarts holds R x T x D x c entries: c = D in the free
+    # state's dense Bell build, c = r in a fixed factor's contractions.
+    # R x D x c <= limit^2 keeps it within one restart's build at the limit.
+    cols = total if factor is None else factor.shape[1]
+    size = max(1, _DENSE_EIG_LIMIT**2 // (total * cols))
     runs = [run for i in range(0, len(rngs), size)
             for run in _seesaw_lockstep(f, ws, rngs[i : i + size], cfg, factor)]
     # max keeps the first of equal values: the earliest best restart.

@@ -28,9 +28,10 @@ def as_matrix(m: np.ndarray | Iterable) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    """True when max |M - M^dag| entry is at most ``HERMITIAN_CLAIM``."""
+    """True when max |M - M^dag| entry is at most ``HERMITIAN_CLAIM``, over
+    one matrix or every matrix of a (..., d, d) stack."""
     arr = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= tol.HERMITIAN_CLAIM)
+    return bool(np.max(np.abs(arr - np.swapaxes(arr.conj(), -1, -2))) <= tol.HERMITIAN_CLAIM)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -53,6 +53,17 @@ class Observable:
         return self.matrix.shape[0]
 
 
+def _check_densities(arr: np.ndarray) -> None:
+    """Refuse a density matrix, or a (..., D, D) stack of them, that is not
+    Hermitian, of trace one and positive semidefinite."""
+    if not is_hermitian(arr):
+        raise InvalidInput("density matrix is not Hermitian")
+    if not np.all(np.abs(np.trace(arr, axis1=-2, axis2=-1).real - 1.0) <= tol.TRACE_ONE):
+        raise InvalidInput("density matrix trace is not 1")
+    if np.min(np.linalg.eigvalsh(arr)[..., 0]) < tol.PSD_FLOOR:
+        raise InvalidInput("density matrix is not positive semidefinite")
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Pure vector or density operator with declared subsystem dimensions.
@@ -89,12 +100,7 @@ class QuantumState:
                     raise InvalidInput(
                         f"matrix dimension {arr.shape[0]} != product of dims {total}"
                     )
-                if not is_hermitian(arr):
-                    raise InvalidInput("density matrix is not Hermitian")
-                if not abs(np.trace(arr).real - 1.0) <= tol.TRACE_ONE:
-                    raise InvalidInput("density matrix trace is not 1")
-                if float(np.linalg.eigvalsh(arr)[0]) < tol.PSD_FLOOR:
-                    raise InvalidInput("density matrix is not positive semidefinite")
+                _check_densities(arr)
             else:
                 raise InvalidInput(f"unknown state kind {self.kind!r}")
         object.__setattr__(self, "data", _frozen(arr))
@@ -169,20 +175,30 @@ def schmidt_pure_two_qubit(theta: float) -> QuantumState:
     return QuantumState.pure(vec, (2, 2))
 
 
-def random_two_qubit_density(seed: int, rank: int) -> QuantumState:
-    """Reproducible random two-qubit density matrix of the requested rank.
+def random_two_qubit_densities(seeds: Sequence[int], ranks: Sequence[int]) -> np.ndarray:
+    """(N, 4, 4) stack of reproducible random two-qubit density matrices,
+    entry k of rank ranks[k] from ``default_rng(seeds[k])``.
 
     Ginibre construction: rho = G G^dag / Tr(G G^dag) with G a complex
-    standard-normal 4 x rank matrix drawn from ``default_rng(seed)``.
+    standard-normal 4 x rank matrix, zero-padded to 4 x 4. The stack is
+    checked as ``QuantumState.density`` checks one state.
     """
-    if rank not in (1, 2, 3, 4):
-        raise InvalidInput(f"rank must be in 1..4, got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2
-    return QuantumState.density(rho, (2, 2))
+    g = np.zeros((len(seeds), 4, 4), dtype=complex)
+    for k, (seed, rank) in enumerate(zip(seeds, ranks)):
+        if rank not in (1, 2, 3, 4):
+            raise InvalidInput(f"rank must be in 1..4, got {rank}")
+        rng = np.random.default_rng(seed)
+        g[k, :, :rank] = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = (rho + np.swapaxes(rho.conj(), -1, -2)) / 2
+    _check_densities(rho)
+    return rho
+
+
+def random_two_qubit_density(seed: int, rank: int) -> QuantumState:
+    """The one-entry ``random_two_qubit_densities`` draw as a state."""
+    return QuantumState.density(random_two_qubit_densities([seed], [rank])[0], (2, 2))
 
 
 def anticommuting_set(m: int) -> list[Observable]:

@@ -25,10 +25,9 @@ WEIGHT_SUM = 1e-12
 # Largest imaginary residue silently discarded from a real expectation.
 IMAG_DISCARD = 1e-10
 
-# Relative Ritz residual accepted when a Lanczos solve, the seesaw's top
-# eigenvector or the certificate's minimum eigenvalue, is retried after
-# failing to converge at machine precision.
-LANCZOS_RETRY = 1e-12
+# Ritz residual ||A y - theta y|| / max(1, |theta|) at which a Lanczos solve,
+# the seesaw's top eigenvector or the certificate's minimum eigenvalue, stops.
+LANCZOS_RESIDUAL = 1e-13
 
 # Signed observable sums with state-norm below this are degenerate.
 ZERO_NORM = 1e-12

@@ -9,7 +9,7 @@ from netbell import certify as certify_mod
 from netbell import optimize as op
 from netbell.certify import (
     _PAULI_PAIRS,
-    _draw_states,
+    _draw_seeds,
     bilocal_max_pair,
     correlation_matrix,
     correspondence_scan,
@@ -65,6 +65,8 @@ class TestCorrelationMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput, match="two-qubit"):
             correlation_matrix(QuantumState.pure([1, 0], (2,)))
+        with pytest.raises(InvalidInput, match=r"\(N, 4, 4\)"):
+            correlation_matrix(np.eye(3)[None])
 
     @staticmethod
     def kron_reference(rho):
@@ -170,7 +172,7 @@ class TestBilocalMaxPair:
         # b_i = T^T (a_0 +- a_1) normalized. These are traceless products,
         # but b_1, b_2 are not orthogonal, so they leave class O.
         rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-        states = _draw_states(rng, 2, (1,))
+        states = [random_two_qubit_density(*d) for d in _draw_seeds(rng, 2, (1,))]
         edge, sides = [], []
         for s in states:
             t = correlation_matrix(s)
@@ -456,7 +458,44 @@ def test_gap_is_weighted_squared_residuals(kind, seed):
     assert rep.gamma_min_eig >= -1e-8
 
 
+def reference_bilocal_scan(trials, seed, ranks):
+    """Per-trial bilocal scan: a 4 x rank Ginibre draw per source, one
+    correlation matrix, spectrum and closed form at a time. Returns the
+    (trials, 2) edge values and the network values, bounds and margins."""
+    pairs = np.array([np.kron(a, b).T for a in PAULIS for b in PAULIS])
+    edges, network = [], []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        spectra = []
+        for _ in range(2):
+            rank = int(ranks[int(rng.integers(0, len(ranks)))])
+            draw = np.random.default_rng(int(rng.integers(2**63)))
+            g = draw.standard_normal((4, rank)) + 1j * draw.standard_normal((4, rank))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            t = np.einsum("ij,kij->k", (rho + rho.conj().T) / 2, pairs).real.reshape(3, 3)
+            spectra.append(np.clip(np.linalg.eigvalsh(t.T @ t)[::-1], 0.0, None))
+        edges.append([2.0 * math.sqrt(sq[0] + sq[1]) for sq in spectra])
+        a, h = (np.sqrt(sq) for sq in spectra)
+        network.append(2.0 * math.sqrt(a[0] * h[0] + a[1] * h[1]))
+    bound = [float(np.prod([v ** 0.5 for v in e])) for e in edges]
+    return np.array(edges), np.array(network), np.array(bound), np.subtract(bound, network)
+
+
 class TestCorrespondenceScan:
+    @pytest.mark.parametrize("ranks", [(1, 2), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_bilocal_scan_matches_per_trial_reference(self, ranks, seed):
+        rep = correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), 300, seed, ranks=ranks)
+        got = (
+            np.array([r.edge_values for r in rep.results]),
+            *(np.array([getattr(r, k) for r in rep.results])
+              for k in ("network_value", "bound", "margin")),
+        )
+        for a, b in zip(got, reference_bilocal_scan(300, seed, ranks)):
+            assert np.array_equal(a, b)
+        assert all(type(v) is float for r in rep.results for v in (*r.edge_values, r.margin))
+
     def test_bilocal_pure_pairs(self):
         rep = correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=200, seed=7)
         assert rep.satisfied
@@ -492,7 +531,7 @@ class TestCorrespondenceScan:
     def test_ranks_checked_before_any_draw(self, ranks, monkeypatch):
         # Seed 5 draws rank 1 only, so (1, 7) used to pass unnoticed.
         monkeypatch.setattr(
-            certify_mod, "_draw_states", lambda *a: pytest.fail("drew a state")
+            certify_mod, "_draw_seeds", lambda *a: pytest.fail("drew a state")
         )
         with pytest.raises(InvalidInput, match="ranks"):
             correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=1, seed=5, ranks=ranks)

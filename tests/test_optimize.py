@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -296,8 +295,9 @@ class TestLockstep:
     def test_stack_sizes_cap_the_dense_build(
         self, monkeypatch, kind, m, n, edge_dim, restarts, sizes
     ):
-        # A stack of R restarts holds R x T x D^2 entries in its dense Bell
-        # build; R x D^2 stays within one restart's build at the dense limit.
+        # A free-state stack of R restarts holds R x T x D^2 entries in its
+        # dense Bell build; R x D^2 stays within one restart's build at the
+        # dense limit.
         real, seen = optimize._seesaw_lockstep, []
 
         def recording(f, ws, rngs, cfg, factor):
@@ -308,6 +308,27 @@ class TestLockstep:
         f = build_functional(kind, m, n)
         seesaw_optimize(f, SeesawConfig(edge_dim=edge_dim, restarts=restarts, max_iters=1))
         assert seen == sizes
+
+    def test_fixed_density_stack_size_follows_the_rank(self, monkeypatch):
+        # A fixed (D, r) factor's stack holds R x T x D x r entries: at D = 64
+        # and r = 16 all ten restarts fit one stack, where the free state's
+        # 128^2 // D^2 = 4 would split them into 4, 4 and 2.
+        f = build_functional(Kind.STAR, 2, 3)
+        rho = network_product_state(
+            [random_two_qubit_density(3 + k, r) for k, r in enumerate((1, 4, 4))]
+        )
+        assert rho.factor.shape == (64, 16)
+        real, seen = optimize._seesaw_lockstep, []
+
+        def recording(f, ws, rngs, cfg, factor):
+            seen.append(len(rngs))
+            return real(f, ws, rngs, cfg, factor)
+
+        monkeypatch.setattr(optimize, "_seesaw_lockstep", recording)
+        cfg = SeesawConfig(restarts=10, max_iters=4, seed=2)
+        seesaw_optimize(f, cfg, fixed_state=rho)
+        assert seen == [10]
+        assert_stack_equals_slices(*lockstep_runs(f, cfg, rho))
 
     def test_weights_fall_back_to_signs_per_restart(self):
         # Restart 0's correlators all lie below the weight clamp, so its
@@ -503,40 +524,15 @@ class TestBatchedKernel:
         assert (np.prod(dims) > _DENSE_EIG_LIMIT) == lanczos
         assert_top_eigvec_matches_dense_eigh(dims)
 
-    def test_lanczos_retries_after_no_convergence(self, monkeypatch):
-        # ARPACK can stall at machine precision when its start vector is
-        # already a top eigenvector (seen on `optimize --expr star --n 4
-        # --seed 3`); the solve is retried at the looser tolerance. The
-        # certificate's smallest-eigenvalue solve shares that retry.
-        real, calls = scipy.sparse.linalg.eigs, []
-
-        def stalls_once(*args, **kwargs):
-            calls.append((kwargs["which"], kwargs.get("tol", 0)))
-            if len(calls) % 2:
-                raise scipy.sparse.linalg.ArpackNoConvergence(
-                    "stalled", np.empty(0), np.empty((0, 0))
-                )
-            return real(*args, **kwargs)
-
-        f = build_functional(Kind.XI, 3, 4)
-        state, assignment = optimal_assignment(f)
-        expected = sos_certificate(f, state, assignment).gamma_min_eig
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalls_once)
-        assert_top_eigvec_matches_dense_eigh((3, 3, 15))
-        got = sos_certificate(f, state, assignment).gamma_min_eig
-        assert got == pytest.approx(expected, abs=1e-11)
-        assert calls == [
-            ("LR", 0), ("LR", tol.LANCZOS_RETRY), ("SR", 0), ("SR", tol.LANCZOS_RETRY)
-        ]
-
     def test_lanczos_is_reproducible_on_a_degenerate_top(self):
         # A threefold top eigenvalue: the Krylov space from the start vector
-        # is invariant after two steps, and ARPACK draws a new start from
-        # the solver's rng, which must be seeded for repeated solves to agree.
+        # is invariant after two steps. Nothing is drawn inside the solver,
+        # so repeated solves agree bit for bit.
         d = np.zeros(200)
         d[:3] = 1.0
         vecs = [_extreme_eig(lambda v: d * v, 200, "LA")[1] for _ in range(3)]
         assert np.array_equal(vecs[0], vecs[1]) and np.array_equal(vecs[0], vecs[2])
+
 
     def test_edge_update_keeps_unweighted_setting(self):
         # Chained m=3 terms are A0+A1, A1+A2, A2-A0: with only the middle
@@ -555,6 +551,67 @@ class TestBatchedKernel:
         best = _sign_eig(steer[1])
         for x in (1, 2):
             assert np.allclose(new[x], best, atol=1e-12)
+
+
+def counted(apply):
+    """apply, and a list that records the length of each vector applied."""
+    calls = []
+
+    def wrapped(v):
+        calls.append(len(v))
+        return apply(v)
+
+    return wrapped, calls
+
+
+class TestLanczos:
+    """The thick-restart Lanczos branch of ``_extreme_eig``, above the dense
+    limit, against dense eigh."""
+
+    @pytest.mark.parametrize("total", [135, 525, 1024])
+    @pytest.mark.parametrize("which", ["LA", "SA"])
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_matches_dense_eigh(self, total, which, clustered):
+        rng = np.random.default_rng(total)
+        g = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+        vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+        if clustered:
+            # Eight extreme eigenvalues within 1e-6 of each other on each
+            # side: restarts must keep all eight Ritz vectors to resolve them.
+            vals[-8:] = vals[-1] - 1e-7 * np.arange(8)[::-1]
+            vals[:8] = vals[0] + 1e-7 * np.arange(8)
+        a = (vecs * vals) @ vecs.conj().T
+        theta, y = _extreme_eig(lambda v: a @ v, total, which)
+        want = vals[-1] if which == "LA" else vals[0]
+        scale = max(1.0, abs(theta))
+        assert abs(theta - want) <= 1e-12 * scale
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(a @ y - theta * y) <= tol.LANCZOS_RESIDUAL * scale
+
+    def test_seeded_start_finds_a_close_top(self):
+        # The two largest entries differ by 1e-6: the top, not the runner-up.
+        d = np.linspace(-1.0, 1.0, 400)
+        d[-1] = d[-2] + 1e-6
+        theta, y = _extreme_eig(lambda v: d * v, len(d), "LA")
+        assert theta == pytest.approx(d[-1], abs=1e-13)
+        assert abs(y[-1]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_eigenvector_start_returns_after_one_matvec(self):
+        d = np.linspace(-1.0, 1.0, 300)
+        top = np.zeros(300, dtype=complex)
+        top[-1] = 1j
+        apply, calls = counted(lambda v: d * v)
+        theta, y = _extreme_eig(apply, 300, "LA", top)
+        assert calls == [300]
+        assert theta == 1.0 and np.array_equal(y, top)
+
+    def test_raises_when_the_matvec_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_LANCZOS_MATVECS", 10)
+        d = np.linspace(-1.0, 1.0, 300)
+        apply, calls = counted(lambda v: d * v)
+        with pytest.raises(RuntimeError, match="10 matvecs"):
+            _extreme_eig(apply, 300, "SA")
+        assert len(calls) == 10
 
 
 class TestVectorModel:
