@@ -45,6 +45,9 @@ from .states import (
 )
 
 TOTAL_DIMENSION_GUARD = 2**12
+# restarts x max_iters x D^2 of one seesaw call; the largest documented or
+# tested run, optimize star n=3 --dim 3 (D = 729), asks for 1.6e9.
+SEESAW_WORK_BUDGET = 10**12
 _DENSE_EIG_LIMIT = 128
 # Restarts keep k Ritz vectors to resolve a top cluster of up to k near-equal
 # eigenvalues; k = 4 stalls on five within 1e-6 at D = 1024. CLI solves take
@@ -144,11 +147,24 @@ def _correlators(ws: _Workspace, ket: np.ndarray, ops) -> np.ndarray:
 
 def _steering(ws: _Workspace, ket: np.ndarray, slot: int, ops) -> np.ndarray:
     """(R, T, d, d) steering stack H with Tr(A H[r, t]) the correlator of
-    A (x) ops[r, t], A acting on ``slot`` in place of ``ops[slot]``."""
+    A (x) ops[r, t], A acting on ``slot`` in place of ``ops[slot]``: one
+    slot contraction, then one batched (d, pre rest) x (pre rest, d) matmul
+    against the state. The seesaw values each move from the stack that
+    chose it, through ``_traced``, so its sweep over n edge slots and the
+    central one makes n + 1 slot contractions."""
     pre, d = ws.splits[slot]
     phi = ws.apply(ket[:, None], ops[:slot] + [None] + ops[slot + 1 :])
-    phi = phi.reshape(phi.shape[:2] + (pre, d, -1))
-    return np.einsum("...tpaq,...pzq->...taz", phi, ket.reshape(len(ket), pre, d, -1).conj())
+    lead = phi.shape[:2]
+    phi = np.swapaxes(phi.reshape(lead + (pre, d, -1)), -3, -2).reshape(lead + (d, -1))
+    bra = np.swapaxes(ket.reshape(len(ket), pre, d, -1), 1, 2).reshape(len(ket), 1, d, -1).conj()
+    return phi @ np.swapaxes(bra, -1, -2)
+
+
+def _traced(f: Functional, op: np.ndarray, steer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T) correlators Re Tr(op[r, t] steer[r, t]) of a slot's operator
+    stack against that slot's steering stack, and their (R,) values."""
+    corr = np.einsum("...tab,...tba->...t", op, steer).real
+    return corr, combine(f, corr)
 
 
 def _weights(f: Functional, correlators: np.ndarray) -> np.ndarray:
@@ -271,7 +287,13 @@ def _seesaw_lockstep(
     Each restart draws its start from its own generator and makes the moves
     a lone restart makes, in the same order, accepting each through a mask;
     it leaves the stack once converged. Returns each restart's (value, ket,
-    edge, central, history, converged) in generator order, bit for bit as alone."""
+    edge, central, history, converged) in generator order, bit for bit as alone.
+
+    Each observable move is valued from the steering stack that chose it,
+    so a sweep makes n + 1 slot contractions for its n edge moves and the
+    central one; a free-state sweep adds its eigensolve and line search.
+    ``score`` contracts the whole state only for the first value and the
+    line search's candidates."""
     dims, total, starts = ws.dims, math.prod(ws.dims), []
     for rng in rngs:
         start = [np.array([_random_involution(d, rng) for _ in range(f.m)]) for d in dims[:-1]]
@@ -315,17 +337,19 @@ def _seesaw_lockstep(
                 if not pending.any():
                     break
         for k in range(f.n):
-            moved = _edge_update(f, edge[k], w, _steering(ws, ket, k, ops))
-            cand_ops = ops[:k] + [f.signed_sums(moved)] + ops[k + 1 :]
-            cand_corr, cand_value = score(ket, cand_ops)
+            steer = _steering(ws, ket, k, ops)
+            moved = _edge_update(f, edge[k], w, steer)
+            sums = f.signed_sums(moved)
+            cand_corr, cand_value = _traced(f, sums, steer)
             take = cand_value >= value
             edge[k], ops[k], corr, value = _pick(
-                take, (moved, cand_ops[k], cand_corr, cand_value), (edge[k], ops[k], corr, value)
+                take, (moved, sums, cand_corr, cand_value), (edge[k], ops[k], corr, value)
             )
         # Each term owns its central input, so this update maximizes I_i
         # (hence |I_i|) exactly and never decreases the objective.
-        ops[-1] = _sign_eig(_steering(ws, ket, f.n, ops))
-        corr, value = score(ket, ops)
+        steer = _steering(ws, ket, f.n, ops)
+        ops[-1] = _sign_eig(steer)
+        corr, value = _traced(f, ops[-1], steer)
 
         converged = value - before <= cfg.tol * np.maximum(1.0, np.abs(value))
         done = converged | (sweep == cfg.max_iters - 1)
@@ -362,6 +386,10 @@ def seesaw_optimize(
     at total dimension D, with c = D for the free state and c = r for a
     fixed (D, r) factor: all of them at small D c, one at a time once
     D c exceeds 8192. Each restart's result is the same either way.
+
+    TooLarge is raised, before any generator is spawned, above total
+    dimension TOTAL_DIMENSION_GUARD or when restarts x max_iters x D^2
+    exceeds SEESAW_WORK_BUDGET.
     """
     cfg = cfg or SeesawConfig()
     parties = f.n
@@ -377,6 +405,11 @@ def seesaw_optimize(
     if total > TOTAL_DIMENSION_GUARD:
         raise TooLarge(
             f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"
+        )
+    work = cfg.restarts * cfg.max_iters * total**2
+    if work > SEESAW_WORK_BUDGET:
+        raise TooLarge(
+            f"seesaw work {work} (restarts x iterations x D^2) exceeds budget {SEESAW_WORK_BUDGET}"
         )
 
     factor = None if fixed_state is None else fixed_state.factor

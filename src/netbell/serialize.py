@@ -20,9 +20,10 @@ from .states import Observable, QuantumState
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, full-precision
+    """Canonical JSON text on one line: sorted keys, compact separators and
+    no indent, so ``json``'s C encoder writes it, with full-precision
     floats (repr round-trips bit-identically)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _field(obj: dict, key: str, path: str):

@@ -191,6 +191,17 @@ class TestOptimizeCommand:
         )
         assert code == 3
 
+    def test_seesaw_work_guard_exit_3(self, capsys, monkeypatch):
+        # 10^11 restarts are refused before SeedSequence would spawn them.
+        def spawn(*args, **kwargs):
+            raise AssertionError("a restart generator was spawned")
+
+        monkeypatch.setattr(np.random, "SeedSequence", spawn)
+        code, out, err = run_cli(capsys, "optimize", "--expr", "chsh", "--restarts", "100000000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard:") and "seesaw work" in err
+
     @pytest.mark.parametrize("command", [("optimize",), ("certify", "--at-optimum")])
     @pytest.mark.parametrize("dim", ["4294967296", "1099511627776"])
     def test_dimension_guard_exact_product(self, capsys, command, dim):
@@ -925,6 +936,8 @@ class TestRecordContract:
         # Full-precision floats: the value round-trips bit-identically and
         # carries more than nine significant digits in the text.
         assert serialize.dumps(rec) == out.strip()
+        # A record is one line.
+        assert out.count("\n") == 1 and out.endswith("\n")
         text = json.dumps(rec["value"])
         digits = sum(c.isdigit() for c in text)
         assert digits >= 10
@@ -1033,8 +1046,10 @@ def _mutated_settings_text(draw):
 @st.composite
 def _argv(draw):
     """A command line for one of the four subcommands. Every work count
-    the run uses is drawn in -1..3, since counts have no work guard yet;
-    an option the run may not use is sometimes added."""
+    the run uses is drawn in -1..3, since most counts have no work guard
+    yet; the seesaw's --restarts is sometimes drawn at 10^11 or more, which
+    with any --iters >= 1 and D >= 4 exceeds SEESAW_WORK_BUDGET. An option
+    the run may not use is sometimes added."""
     command = draw(st.sampled_from(["optimize", "bound", "certify", "correspondence"]))
     m, n = draw(st.integers(1, 5)), draw(st.none() | st.integers(-1, 4))
     if command == "correspondence":
@@ -1046,7 +1061,8 @@ def _argv(draw):
     argv += ["--m", str(m), "--seed", str(draw(_COUNT))]
     if n is not None:
         argv += ["--n", str(n)]
-    seesaw = ["--restarts", str(draw(_COUNT)), "--iters", str(draw(_COUNT)),
+    seesaw = ["--restarts", str(draw(_COUNT | st.integers(10**11, 10**15))),
+              "--iters", str(draw(_COUNT)),
               "--dim", str(draw(st.integers(-1, 2))), "--tol", draw(_TOL)]
     if command == "optimize":
         model = draw(st.sampled_from(["seesaw", "vector"]))

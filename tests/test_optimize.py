@@ -15,6 +15,7 @@ from netbell.functionals import (
     Kind,
     ObservableAssignment,
     build_functional,
+    combine,
     eval_functional,
     quantum_bound,
 )
@@ -31,6 +32,7 @@ from netbell.optimize import (
     _steering,
     _weights,
     _top_eigvec,
+    _traced,
     _vector_gradient,
     _Workspace,
     optimal_assignment,
@@ -187,6 +189,26 @@ class TestSeesaw:
         f = build_functional(Kind.STAR, 2, 3)
         with pytest.raises(TooLarge, match="total dimension"):
             seesaw_optimize(f, SeesawConfig(edge_dim=6, restarts=1))
+
+    def test_work_guard_refuses_before_spawning(self, monkeypatch):
+        # 10^11 restarts of chsh: restarts x max_iters x D^2 = 6.4e14.
+        def spawn(*args, **kwargs):
+            raise AssertionError("a restart generator was spawned")
+
+        monkeypatch.setattr(np.random, "SeedSequence", spawn)
+        f = build_functional(Kind.CHSH, 2, 1)
+        with pytest.raises(TooLarge, match="seesaw work"):
+            seesaw_optimize(f, SeesawConfig(restarts=10**11))
+
+    def test_work_guard_admits_its_budget(self, monkeypatch):
+        # CI's largest seesaw, star n=3 at --dim 3 (D = 729) with the CLI's
+        # 5 restarts and 600 sweeps, lies 100 times below the budget.
+        assert optimize.SEESAW_WORK_BUDGET >= 100 * 5 * 600 * 729**2
+        f = build_functional(Kind.CHSH, 2, 1)
+        monkeypatch.setattr(optimize, "SEESAW_WORK_BUDGET", 2 * 3 * 4**2)
+        assert seesaw_optimize(f, SeesawConfig(restarts=2, max_iters=3)).iterations <= 3
+        with pytest.raises(TooLarge, match="exceeds budget 96"):
+            seesaw_optimize(f, SeesawConfig(restarts=3, max_iters=3))
 
     def test_config_validation(self):
         for bad in (
@@ -551,6 +573,86 @@ class TestBatchedKernel:
         best = _sign_eig(steer[1])
         for x in (1, 2):
             assert np.allclose(new[x], best, atol=1e-12)
+
+
+def reference_steering(ws, ket, slot, ops):
+    """The steering stack as one einsum over the slot's neighbours: the
+    form ``_steering`` replaced with a batched matmul."""
+    pre, d = ws.splits[slot]
+    phi = ws.apply(ket[:, None], ops[:slot] + [None] + ops[slot + 1 :])
+    phi = phi.reshape(phi.shape[:2] + (pre, d, -1))
+    return np.einsum("...tpaq,...pzq->...taz", phi, ket.reshape(len(ket), pre, d, -1).conj())
+
+
+def restart_stack(f, fixed, restarts=3):
+    """Workspace, edge observables, per-slot (R, T, d, d) operator stacks and
+    a state: R random settings on an R-stacked (R, D, 1) free state, or on
+    a rank-2 density factor broadcast as one (1, D, r) entry."""
+    if fixed:
+        rho = network_product_state(
+            [random_two_qubit_density(5 + k, 2 if k == 0 else 1) for k in range(f.n)]
+        )
+        dims = tuple(rho.subsystem_dims)
+    else:
+        dims = (2,) * f.n + (2**f.n,)
+    drawn = [random_setting(f, dims, seed=7 + r) for r in range(restarts)]
+    edge = [np.array(e) for e in zip(*(s[0] for s in drawn))]
+    central = np.array([s[1] for s in drawn])
+    ket = rho.factor[None] if fixed else np.array([s[2] for s in drawn])[..., None]
+    return _Workspace(dims), edge, [f.signed_sums(e) for e in edge] + [central], ket
+
+
+class TestSteeringValues:
+    """Each seesaw move is valued from the steering stack that chose it."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("kind,m,n", [(Kind.XI, 3, 2), (Kind.STAR, 2, 3)])
+    def test_matmul_matches_the_einsum(self, kind, m, n, fixed):
+        f = build_functional(kind, m, n)
+        ws, _, ops, ket = restart_stack(f, fixed)
+        for slot in range(len(ws.dims)):
+            got = _steering(ws, ket, slot, ops)
+            assert got.shape == ops[slot].shape
+            assert np.allclose(got, reference_steering(ws, ket, slot, ops), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("kind,m,n", [(Kind.XI, 3, 2), (Kind.STAR, 2, 3), (Kind.GM, 3, 1)])
+    def test_trace_equals_correlators_of_the_moved_ops(self, kind, m, n, fixed):
+        f = build_functional(kind, m, n)
+        ws, edge, ops, ket = restart_stack(f, fixed)
+        w = _weights(f, _correlators(ws, ket, ops))
+        for slot in range(len(ws.dims)):
+            steer = _steering(ws, ket, slot, ops)
+            if slot == f.n:
+                new = _sign_eig(steer)
+            else:
+                new = f.signed_sums(_edge_update(f, edge[slot], w, steer))
+            corr, value = _traced(f, new, steer)
+            want = _correlators(ws, ket, ops[:slot] + [new] + ops[slot + 1 :])
+            assert np.allclose(corr, want, rtol=0, atol=1e-12)
+            assert np.array_equal(value, combine(f, corr))
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_fixed_state_sweep_applies_once_per_slot(self, monkeypatch, restarts):
+        # One apply for the first value, then n + 1 per sweep: n edge moves
+        # and the central one, each valued from its own steering stack.
+        f = build_functional(Kind.STAR, 2, 3)
+        rho = network_product_state(
+            [random_two_qubit_density(3 + k, r) for k, r in enumerate((1, 2, 1))]
+        )
+        real, calls = _Workspace.apply, []
+
+        def counting(self, x, ops):
+            calls.append(1)
+            return real(self, x, ops)
+
+        monkeypatch.setattr(_Workspace, "apply", counting)
+        cfg = SeesawConfig(restarts=restarts, max_iters=40, seed=3)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(restarts)]
+        runs = _seesaw_lockstep(f, _Workspace(rho.subsystem_dims), rngs, cfg, rho.factor)
+        sweeps = max(len(run[4]) for run in runs) - 1
+        assert sweeps >= 2
+        assert len(calls) == 1 + sweeps * (f.n + 1)
 
 
 def counted(apply):
