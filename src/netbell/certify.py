@@ -35,6 +35,7 @@ from .functionals import (
     combine,
 )
 from .optimize import (
+    SEESAW_WORK_BUDGET,
     TOTAL_DIMENSION_GUARD,
     SeesawConfig,
     _extreme_eig,
@@ -55,6 +56,8 @@ from .states import (
 # entry 3r + s of the einsum below is sum_ij dm[i,j] K_rs[j,i] = Tr[dm K_rs].
 _PAULI_PAIRS = np.array([np.kron(sr, ss).T for sr in PAULIS for ss in PAULIS])
 _PAULI_PAIRS.setflags(write=False)
+# Sweeps of a scan's seesaws; a trial's work for its draws and record row.
+_SCAN_ITERS, _TRIAL_WORK = 300, 10**6
 
 
 def correlation_matrix(rho: QuantumState | np.ndarray) -> np.ndarray:
@@ -246,7 +249,7 @@ def _fixed_state_max(
     the best of ``restarts`` local optima: a lower bound on the maximum
     over that class, not the maximum itself. Its cost scales with the
     rank r of the state, which the seesaw carries as a (D, r) factor."""
-    cfg = SeesawConfig(restarts=restarts, seed=seed, tol=1e-13, max_iters=300)
+    cfg = SeesawConfig(restarts=restarts, seed=seed, tol=1e-13, max_iters=_SCAN_ITERS)
     return seesaw_optimize(f, cfg, fixed_state=state).value
 
 
@@ -284,7 +287,8 @@ def correspondence_scan(
     trial or edge restart, for ``ranks`` that are empty or hold an entry
     outside 1..4, so a rank that no trial happens to draw is refused too,
     and for a functional of another kind; TooLarge when the n sources
-    span more than TOTAL_DIMENSION_GUARD dimensions.
+    span more than TOTAL_DIMENSION_GUARD dimensions, or trials x (_TRIAL_WORK
+    + star and xi network restarts x iterations x D^2) exceed SEESAW_WORK_BUDGET.
 
     For bilocal the scan additionally records whether "both edges beat
     the local bound implies the network does" held. That implication is a
@@ -305,10 +309,12 @@ def correspondence_scan(
     # n two-qubit sources span 4^n dimensions; check before any state,
     # since the product density alone is (4^n) x (4^n).
     if 4**n > TOTAL_DIMENSION_GUARD:
-        raise TooLarge(
-            f"total dimension {4**n} exceeds guard {TOTAL_DIMENSION_GUARD}"
-        )
+        raise TooLarge(f"total dimension {4**n} exceeds guard {TOTAL_DIMENSION_GUARD}")
 
+    seesaw = 0 if f.kind is Kind.BILOCAL else edge_restarts * _SCAN_ITERS * 16**n
+    work = trials * (_TRIAL_WORK + seesaw)
+    if work > SEESAW_WORK_BUDGET:
+        raise TooLarge(f"scan work {work} (trials x per-trial work) exceeds {SEESAW_WORK_BUDGET}")
     children = np.random.SeedSequence(seed).spawn(trials)
     if f.kind is Kind.BILOCAL:
         # Every trial's two states in one stack, (trial, source) in draw order.

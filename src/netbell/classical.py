@@ -23,6 +23,7 @@ from .tolerances import WEIGHT_SUM
 # Rows x terms of one orbit sweep, the work of an enumeration.
 SEARCH_SPACE_GUARD = 2**26
 MIXTURE_GUARD = 2**22
+SAMPLE_WORK_BUDGET = 10**10
 # np.einsum takes at most 64 operands (numpy 2): two per source, the
 # central table and the output.
 _MAX_MIXTURE_SOURCES = 31
@@ -263,22 +264,23 @@ def sample_nlocal_value(
     size. A chunk is one ``random_model(..., size=B)`` of at most
     ``_CHUNK`` uniforms, one ``_mixture_terms`` and one ``combine``, whose
     rows equal one-model rows bit for bit (tests check every kind).
-    Raises ``TooLarge`` before any draw when one central table would
-    exceed ``MIXTURE_GUARD`` entries or the model would have more
-    than ``_MAX_MIXTURE_SOURCES`` sources.
+    Raises ``TooLarge`` before any draw when one central table would exceed
+    ``MIXTURE_GUARD`` entries, a model has over ``_MAX_MIXTURE_SOURCES``
+    sources, or trials x row uniforms exceed ``SAMPLE_WORK_BUDGET``.
     """
     if trials < 1:
         raise InvalidInput("trials must be at least 1")
     parties, s = f.n, int(support_size)
     table = s**parties * f.n_terms
-    if table > MIXTURE_GUARD or parties > _MAX_MIXTURE_SOURCES:
-        raise TooLarge(
-            f"mixture over {parties} sources of support {s} needs "
-            f"{table} central table entries; limits are {MIXTURE_GUARD} entries "
-            f"and {_MAX_MIXTURE_SOURCES} sources"
-        )
     # A model's row: weight cuts, edge bits and central bits.
-    chunk = max(1, _CHUNK // max(parties * (s - 1) + parties * s * f.m + table, 1))
+    row = parties * (s - 1) + parties * s * f.m + table
+    if table > MIXTURE_GUARD or parties > _MAX_MIXTURE_SOURCES or trials * row > SAMPLE_WORK_BUDGET:
+        raise TooLarge(
+            f"mixture over {parties} sources of support {s} needs {table} central table "
+            f"entries and {trials} x {row} uniforms; limits are {MIXTURE_GUARD} entries, "
+            f"{_MAX_MIXTURE_SOURCES} sources and {SAMPLE_WORK_BUDGET} uniforms"
+        )
+    chunk = max(1, _CHUNK // max(row, 1))
     rng = np.random.default_rng(seed)
     best_value, best_model = -np.inf, None
     for start in range(0, trials, chunk):

@@ -49,6 +49,8 @@ TOTAL_DIMENSION_GUARD = 2**12
 # tested run, optimize star n=3 --dim 3 (D = 729), asks for 1.6e9.
 SEESAW_WORK_BUDGET = 10**12
 _DENSE_EIG_LIMIT = 128
+# Complex entries one lockstep stack of seesaw restarts may hold: 16 MiB.
+_STACK_ENTRIES = 2**20
 # Restarts keep k Ritz vectors to resolve a top cluster of up to k near-equal
 # eigenvalues; k = 4 stalls on five within 1e-6 at D = 1024. CLI solves take
 # at most about 330 matvecs.
@@ -180,70 +182,72 @@ def _weights(f: Functional, correlators: np.ndarray) -> np.ndarray:
     return np.where(np.any(w, axis=-1, keepdims=True), w, np.where(correlators < 0, -1.0, 1.0))
 
 
-def _lanczos_top(apply, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenpair of the Hermitian v -> apply(v) by thick-restart
-    Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) from
-    v. The basis keeps its images, so a restart to the top _LANCZOS_KEEP
+def _lanczos_top(apply, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R,) top eigenvalues and (R, D) eigenvectors of R Hermitian maps by
+    thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
+    (2000)) from the rows of v; apply(x, rows) maps row i of x by map
+    rows[i]. Bases keep their images, so a restart to the top _LANCZOS_KEEP
     Ritz vectors costs no matvec; each new direction is the newest image
-    after two Gram-Schmidt passes. The solve stops once the top Ritz pair
-    has ||A y - theta y|| <= LANCZOS_RESIDUAL * max(1, |theta|), so a start
-    that is already an eigenvector, top or not, is returned as it is,
-    normalized, after one matvec; RuntimeError after _LANCZOS_MATVECS."""
-    basis = np.empty((_LANCZOS_BASIS, len(v)), dtype=complex)
-    images, h, k = np.empty_like(basis), np.zeros((_LANCZOS_BASIS,) * 2, dtype=complex), 0
+    after two Gram-Schmidt passes. A row leaves the stack once its top Ritz
+    pair has ||A y - theta y|| <= LANCZOS_RESIDUAL * max(1, |theta|), so a
+    start that is an eigenvector, top or not, returns normalized after one
+    matvec. Products are batched per row, so a row's bits do not depend on
+    its stack; RuntimeError after _LANCZOS_MATVECS steps."""
+    rows, width = np.arange(len(v)), (len(v), _LANCZOS_BASIS)
+    basis = np.empty(width + v.shape[1:], dtype=complex)
+    images, h, k = np.empty_like(basis), np.zeros(width + width[1:], dtype=complex), 0
+    values, vectors, diag = np.empty(len(v)), np.empty_like(basis[:, 0]), np.arange(_LANCZOS_KEEP)
     for _ in range(_LANCZOS_MATVECS):
-        basis[k] = v / np.linalg.norm(v)
-        images[k] = apply(basis[k])
-        h[k, : k + 1] = images[: k + 1] @ basis[k].conj()
+        basis[:, k] = v / _norms(v)[:, None]
+        images[:, k] = apply(basis[:, k], rows)
+        h[:, k, : k + 1] = (images[:, : k + 1] @ basis[:, k, :, None].conj())[..., 0]
         k += 1
-        theta, s = np.linalg.eigh(h[:k, :k])
-        y, ay = s[:, -1] @ basis[:k], s[:, -1] @ images[:k]
-        if np.linalg.norm(ay - theta[-1] * y) <= tol.LANCZOS_RESIDUAL * max(1.0, abs(theta[-1])):
-            return theta[-1], y
-        v = images[k - 1]
+        theta, s = np.linalg.eigh(h[:, :k, :k])
+        top, t = s[:, None, :, -1], theta[:, -1:]
+        y, ay = (top @ basis[:, :k])[:, 0], (top @ images[:, :k])[:, 0]
+        done = _norms(ay - t * y) <= tol.LANCZOS_RESIDUAL * np.maximum(1.0, np.abs(t[:, 0]))
+        if done.any():
+            values[rows[done]], vectors[rows[done]] = theta[done, -1], y[done]
+            if done.all():
+                return values, vectors
+            live = ~done
+            rows, basis, images, h, theta, s = (a[live] for a in (rows, basis, images, h, theta, s))
+        v = images[:, k - 1]
         for _ in range(2):
-            v = v - (basis[:k].conj() @ v) @ basis[:k]
+            v = v - (np.swapaxes(basis[:, :k].conj() @ v[..., None], 1, 2) @ basis[:, :k])[:, 0]
         if k == _LANCZOS_BASIS:
-            keep = s[:, -_LANCZOS_KEEP:].T
-            basis[:_LANCZOS_KEEP], images[:_LANCZOS_KEEP] = keep @ basis, keep @ images
-            h[:_LANCZOS_KEEP, :_LANCZOS_KEEP] = np.diag(theta[-_LANCZOS_KEEP:])
+            keep = np.swapaxes(s[..., -_LANCZOS_KEEP:], 1, 2)
+            basis[:, :_LANCZOS_KEEP], images[:, :_LANCZOS_KEEP] = keep @ basis, keep @ images
+            h[:, :_LANCZOS_KEEP, :_LANCZOS_KEEP] = 0
+            h[:, diag, diag] = theta[:, -_LANCZOS_KEEP:]
             k = _LANCZOS_KEEP
     raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_MATVECS} matvecs")
 
 
-def _extreme_eig(apply, total: int, which: str, v0: np.ndarray | None = None):
+def _extreme_eig(apply, total: int, which: str):
     """Largest ("LA") or smallest ("SA") eigenpair of the Hermitian v -> apply(v)
-    on C^total: dense eigh of apply(I), which may be a stack, up to
-    _DENSE_EIG_LIMIT, else ``_lanczos_top`` of apply or, for "SA", of
-    -apply, from v0 or, when None, a fixed seeded start. Nothing is drawn
-    inside the solver, so a repeated solve gives the same bits."""
+    on C^total: dense eigh of apply(I) up to _DENSE_EIG_LIMIT, else the
+    one-row ``_lanczos_top`` of apply or, for "SA", of -apply, from a fixed
+    seeded start, so a repeated solve gives the same bits."""
     if total <= _DENSE_EIG_LIMIT:
         vals, vecs = np.linalg.eigh(apply(np.eye(total)))
         k = -1 if which == "LA" else 0
-        return vals[..., k], vecs[..., k]
-    if v0 is None:
-        v0 = np.random.default_rng(0).standard_normal((total, 2)) @ [1, 1j]
-    if which == "LA":
-        return _lanczos_top(apply, v0)
-    theta, y = _lanczos_top(lambda v: -apply(v), v0)
-    return -theta, y
+        return vals[k], vecs[:, k]
+    v0 = np.random.default_rng(0).standard_normal((1, total, 2)) @ [1, 1j]
+    sign = 1.0 if which == "LA" else -1.0
+    theta, y = _lanczos_top(lambda v, rows: sign * apply(v[0])[None], v0)
+    return sign * theta[0], y[0]
 
 
 def _top_eigvec(ws: _Workspace, ops, w: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """(R, D) top eigenvectors of the linearized Bell operators
-    sum_t w[r, t] ops[r, t]: one stacked dense eigh up to the dense limit,
-    else one Lanczos solve per restart r, started from its state psi0[r].
-    Near convergence that state is the top eigenvector to rounding, and
-    the solve ends after a matvec or two."""
-    if len(w) > 1 and math.prod(ws.dims) > _DENSE_EIG_LIMIT:
-        rows = (slice(r, r + 1) for r in range(len(w)))
-        return np.concatenate([_top_eigvec(ws, [op[s] for op in ops], w[s], psi0[s]) for s in rows])
+    sum_t w[r, t] ops[r, t], from one stacked ``_lanczos_top`` started from
+    the states psi0 at every dimension. Near convergence each state is its
+    top eigenvector to rounding, and its row leaves after one matvec."""
+    def bell(v, rows):
+        return (w[rows, None] @ ws.apply(v[:, None], [op[rows] for op in ops]))[:, 0]
 
-    def bell(v):
-        x = ws.apply(v[None, None], ops)
-        return (w[:, None] @ x.reshape(w.shape + (-1,)))[:, 0].reshape((len(w),) + v.shape)
-
-    vec = _extreme_eig(bell, math.prod(ws.dims), "LA", psi0[0])[1].reshape(psi0.shape)
+    vec = _lanczos_top(bell, psi0)[1]
     p = np.take_along_axis(vec, np.argmax(np.abs(vec), axis=-1)[:, None], -1)
     vec = vec * (np.conj(p) / np.hypot(p.real, p.imag))
     return vec / _norms(vec)[:, None]
@@ -272,7 +276,9 @@ def _random_involution(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _pick(take: np.ndarray, new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> list:
     """Per restart on the leading axis, each array of ``new`` where ``take``,
-    else the matching array of ``old``."""
+    else the matching array of ``old``: ``new`` itself when all take it."""
+    if take.all():
+        return list(new)
     return [np.where(take.reshape((-1,) + (1,) * (a.ndim - 1)), a, b) for a, b in zip(new, old)]
 
 
@@ -382,30 +388,25 @@ def seesaw_optimize(
     nondecreasing; a restart that fails to make progress is reported with
     ``converged=False``. The first restart with the best value is returned.
 
-    Restarts run in seed order as lockstep stacks of max(1, 128^2 // (D c))
-    at total dimension D, with c = D for the free state and c = r for a
-    fixed (D, r) factor: all of them at small D c, one at a time once
-    D c exceeds 8192. Each restart's result is the same either way.
+    Restarts run in seed order as lockstep stacks of max(1, 2^20 // (D c))
+    at total dimension D, with c = 64 + T for the free state (its Krylov
+    bases, their images and one apply of the T terms) and c = T r for a
+    fixed (D, r) factor. Each restart's result is the same either way.
 
     TooLarge is raised, before any generator is spawned, above total
     dimension TOTAL_DIMENSION_GUARD or when restarts x max_iters x D^2
     exceeds SEESAW_WORK_BUDGET.
     """
     cfg = cfg or SeesawConfig()
-    parties = f.n
     if fixed_state is not None:
         dims = tuple(fixed_state.subsystem_dims)
-        if len(dims) != parties + 1:
-            raise InvalidInput(
-                f"fixed state must have {parties + 1} slots, got {len(dims)}"
-            )
+        if len(dims) != f.n + 1:
+            raise InvalidInput(f"fixed state must have {f.n + 1} slots, got {len(dims)}")
     else:
-        dims = (cfg.edge_dim,) * parties + (cfg.edge_dim**parties,)
+        dims = (cfg.edge_dim,) * f.n + (cfg.edge_dim**f.n,)
     total = math.prod(dims)
     if total > TOTAL_DIMENSION_GUARD:
-        raise TooLarge(
-            f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}"
-        )
+        raise TooLarge(f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}")
     work = cfg.restarts * cfg.max_iters * total**2
     if work > SEESAW_WORK_BUDGET:
         raise TooLarge(
@@ -415,30 +416,25 @@ def seesaw_optimize(
     factor = None if fixed_state is None else fixed_state.factor
     ws = _Workspace(dims)
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
-    # A stack of R restarts holds R x T x D x c entries: c = D in the free
-    # state's dense Bell build, c = r in a fixed factor's contractions.
-    # R x D x c <= limit^2 keeps it within one restart's build at the limit.
-    cols = total if factor is None else factor.shape[1]
-    size = max(1, _DENSE_EIG_LIMIT**2 // (total * cols))
+    # A stack of R restarts holds R x D x c entries: Krylov bases, images and
+    # an apply for the free state, a fixed (D, r) factor's contractions.
+    cols = 2 * _LANCZOS_BASIS + f.n_terms if factor is None else f.n_terms * factor.shape[1]
+    size = max(1, _STACK_ENTRIES // (total * cols))
     runs = [run for i in range(0, len(rngs), size)
             for run in _seesaw_lockstep(f, ws, rngs[i : i + size], cfg, factor)]
     # max keeps the first of equal values: the earliest best restart.
     value, ket, edge, central, history, converged = max(runs, key=lambda run: run[0])
-    state = fixed_state
-    if state is None:
-        state = QuantumState.pure(ket[:, 0], dims)
-    observables = ObservableAssignment(
-        edge=tuple(tuple(Observable(a) for a in row) for row in edge),
-        central=tuple(Observable(b) for b in central),
-    )
+    state = QuantumState.pure(ket[:, 0], dims) if fixed_state is None else fixed_state
     return OptimizationResult(
-        value=float(value),
-        state=state,
-        observables=observables,
-        iterations=len(history) - 1,
-        converged=converged,
+        value=float(value), state=state, observables=_assignment(edge, central),
+        iterations=len(history) - 1, converged=converged,
         history=tuple(float(v) for v in history),
     )
+
+
+def _assignment(edge, central) -> ObservableAssignment:
+    return ObservableAssignment(edge=tuple(tuple(Observable(a) for a in row) for row in edge),
+                                central=tuple(Observable(b) for b in central))
 
 
 def _vector_sums(f: Functional, vectors: np.ndarray) -> np.ndarray:
@@ -556,11 +552,7 @@ def realize(f: Functional, vectors: np.ndarray) -> tuple[QuantumState, Observabl
     sums = np.einsum("tx,kxab->ktab", f.coefficients, edge)
     units = np.swapaxes(sums, 2, 3) / norms[..., None, None]
     state = network_product_state([maximally_entangled(len(gamma[0]))] * len(edge))
-    central = tuple(Observable(tensor_all(ops)) for ops in zip(*units))
-    return state, ObservableAssignment(
-        edge=tuple(tuple(Observable(a) for a in row) for row in edge),
-        central=central,
-    )
+    return state, _assignment(edge, [tensor_all(ops) for ops in zip(*units)])
 
 
 def optimal_assignment(f: Functional) -> tuple[QuantumState, ObservableAssignment]:

@@ -25,7 +25,7 @@ from netbell.classical import DeterministicStrategy
 from netbell.cli import SIGN_FAMILY_NOTE, main
 from netbell.errors import InvalidInput, TooLarge
 from netbell.functionals import Kind, build_functional
-from netbell.optimize import SeesawConfig, optimal_assignment
+from netbell.optimize import SeesawConfig, _Workspace, optimal_assignment
 from netbell.states import QuantumState, maximally_entangled, network_product_state
 
 from importlib.resources import files
@@ -201,6 +201,30 @@ class TestOptimizeCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("guard:") and "seesaw work" in err
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (("correspondence", "--family", "bilocal", "--trials", "10000000000"), "scan work"),
+            (("correspondence", "--family", "star", "--n", "3", "--trials", "100000"),
+             "scan work"),
+            (("bound", "--expr", "bilocal", "--method", "sample", "--trials", "10000000000"),
+             "uniforms"),
+        ],
+        ids=["bilocal_scan", "star_scan", "sample"],
+    )
+    def test_trial_work_guard_exit_3(self, capsys, monkeypatch, argv, what):
+        # Refused before SeedSequence spawns a trial or default_rng draws
+        # a model; never run with the guard off.
+        def fail(*args, **kwargs):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(np.random, "SeedSequence", fail)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard:") and what in err
 
     @pytest.mark.parametrize("command", [("optimize",), ("certify", "--at-optimum")])
     @pytest.mark.parametrize("dim", ["4294967296", "1099511627776"])
@@ -436,9 +460,16 @@ class TestCertifyCommand:
         gap = (1 - visibility) * 2 * math.sqrt(2)
         assert rec["artifacts"]["gap"] == pytest.approx(gap, abs=1e-12)
 
-    def test_settings_at_4096_dimensions(self, capsys, tmp_path):
+    def test_settings_at_4096_dimensions(self, capsys, tmp_path, monkeypatch):
         # Star n=6: gamma is applied through the slot kernel, never built as
-        # a 4096 x 4096 matrix.
+        # a 4096 x 4096 matrix: no kernel input carries 4096 columns.
+        real, columns = _Workspace.apply, []
+
+        def counting(self, x, ops):
+            columns.append(x.shape[-1])
+            return real(self, x, ops)
+
+        monkeypatch.setattr(_Workspace, "apply", counting)
         f = build_functional(Kind.STAR, 2, 6)
         state, assignment = optimal_assignment(f)
         path = tmp_path / "star6.json"
@@ -446,11 +477,10 @@ class TestCertifyCommand:
             "state": serialize.state_to_json(state),
             **serialize.assignment_to_json(assignment),
         }))
-        started = time.perf_counter()
         code, out, _ = run_cli(
             capsys, "certify", "--expr", "star", "--n", "6", "--settings", str(path)
         )
-        assert time.perf_counter() - started < 3.0
+        assert columns and max(columns) == 1
         assert code == 0
         artifacts = json.loads(out)["artifacts"]
         assert abs(artifacts["gamma_min_eig"]) <= 1e-10
@@ -958,6 +988,21 @@ class TestUsage:
         env = {**os.environ, "PYTHONPATH": str(Path(netbell.__file__).parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_record_does_not_depend_on_the_blas_thread_count(self):
+        # D = 81 with a degenerate top: every state step is one stacked
+        # Lanczos solve, whose products are batched per restart, so one and
+        # two BLAS threads write the same record.
+        records = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(netbell.__file__).parents[1]),
+                   "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+            argv = "optimize --expr bilocal --dim 3 --seed 2".split()
+            run = subprocess.run([sys.executable, "-m", "netbell.cli", *argv], env=env,
+                                 capture_output=True, text=True, check=True)
+            records.append({k: v for k, v in json.loads(run.stdout).items()
+                            if k != "wall_time_ms"})
+        assert records[0] == records[1]
+
     def test_no_command_exit_2(self, capsys):
         assert run_cli(capsys, )[0] == 2
 
@@ -997,6 +1042,7 @@ def _chsh_settings_text():
 
 
 _COUNT = st.integers(-1, 3)
+_GUARDED = _COUNT | st.integers(10**12, 10**15)
 _TOL = st.sampled_from(["1e-14", "0.5", "0", "-1", "nan", "inf"])
 _OTHER_TYPE = st.sampled_from([None, True, "1.0", {}, [], 0, 2.5, {"re": 1}])
 _NUMBER = st.sampled_from([1e308, -1e308, 1e200, math.nan, math.inf, -math.inf, -0.0, 5e-324])
@@ -1046,22 +1092,23 @@ def _mutated_settings_text(draw):
 @st.composite
 def _argv(draw):
     """A command line for one of the four subcommands. Every work count
-    the run uses is drawn in -1..3, since most counts have no work guard
-    yet; the seesaw's --restarts is sometimes drawn at 10^11 or more, which
-    with any --iters >= 1 and D >= 4 exceeds SEESAW_WORK_BUDGET. An option
-    the run may not use is sometimes added."""
+    the run uses is drawn in -1..3, or, where a work guard covers it, also
+    at 10^12 or more: the seesaw's --restarts, which with any --iters >= 1
+    and D >= 4 exceeds SEESAW_WORK_BUDGET, a scan's --trials, which exceeds
+    it too, and sampling's --trials, which exceeds SAMPLE_WORK_BUDGET. An
+    option the run may not use is sometimes added."""
     command = draw(st.sampled_from(["optimize", "bound", "certify", "correspondence"]))
     m, n = draw(st.integers(1, 5)), draw(st.none() | st.integers(-1, 4))
     if command == "correspondence":
         argv = [command, "--family", draw(st.sampled_from(["bilocal", "star", "xi"])),
-                "--trials", str(draw(_COUNT)), "--edge-restarts", str(draw(_COUNT)),
+                "--trials", str(draw(_GUARDED)), "--edge-restarts", str(draw(_COUNT)),
                 "--ranks", draw(st.sampled_from(["1", "2,4", "0", "x", ""]))]
     else:
         argv = [command, "--expr", draw(st.sampled_from([k.value for k in Kind]))]
     argv += ["--m", str(m), "--seed", str(draw(_COUNT))]
     if n is not None:
         argv += ["--n", str(n)]
-    seesaw = ["--restarts", str(draw(_COUNT | st.integers(10**11, 10**15))),
+    seesaw = ["--restarts", str(draw(_GUARDED)),
               "--iters", str(draw(_COUNT)),
               "--dim", str(draw(st.integers(-1, 2))), "--tol", draw(_TOL)]
     if command == "optimize":
@@ -1075,7 +1122,7 @@ def _argv(draw):
         method = draw(st.sampled_from(["formula", "enumerate", "sample"]))
         argv += ["--method", method]
         if method == "sample":
-            argv += ["--trials", str(draw(_COUNT)), "--support", str(draw(_COUNT))]
+            argv += ["--trials", str(draw(_GUARDED)), "--support", str(draw(_COUNT))]
         extra = ["--trials", "--support"]
     else:
         extra = []

@@ -20,12 +20,12 @@ from netbell.functionals import (
     quantum_bound,
 )
 from netbell.optimize import (
-    _DENSE_EIG_LIMIT,
     TOTAL_DIMENSION_GUARD,
     SeesawConfig,
     _correlators,
     _edge_update,
     _extreme_eig,
+    _lanczos_top,
     _random_involution,
     _seesaw_lockstep,
     _sign_eig,
@@ -308,18 +308,19 @@ class TestLockstep:
     @pytest.mark.parametrize(
         "kind,m,n,edge_dim,restarts,sizes",
         [
-            (Kind.GM, 4, 1, 2, 10, [10]),  # D = 4
-            (Kind.BILOCAL, 2, 2, 3, 3, [2, 1]),  # D = 81
-            (Kind.CHAINED, 4, 1, 11, 2, [1, 1]),  # D = 121
-            (Kind.XI, 3, 4, 2, 2, [1, 1]),  # D = 256
+            (Kind.GM, 4, 1, 2, 10, [10]),  # D = 4, T = 8
+            (Kind.BILOCAL, 2, 2, 3, 3, [2, 1]),  # D = 81, T = 2
+            (Kind.CHAINED, 4, 1, 11, 2, [1, 1]),  # D = 121, T = 4
+            (Kind.XI, 3, 4, 2, 2, [1, 1]),  # D = 256, T = 4
         ],
     )
-    def test_stack_sizes_cap_the_dense_build(
+    def test_stack_sizes_hold_the_krylov_memory(
         self, monkeypatch, kind, m, n, edge_dim, restarts, sizes
     ):
-        # A free-state stack of R restarts holds R x T x D^2 entries in its
-        # dense Bell build; R x D^2 stays within one restart's build at the
-        # dense limit.
+        # A free-state stack of R restarts holds R x (64 + T) x D entries:
+        # the Lanczos bases, their images and one apply. Under a budget of
+        # 2 x 81 x 66 entries, D = 81 runs in stacks of two and D >= 121
+        # alone; the real budget of 2^20 fits each of these in one stack.
         real, seen = optimize._seesaw_lockstep, []
 
         def recording(f, ws, rngs, cfg, factor):
@@ -328,13 +329,16 @@ class TestLockstep:
 
         monkeypatch.setattr(optimize, "_seesaw_lockstep", recording)
         f = build_functional(kind, m, n)
-        seesaw_optimize(f, SeesawConfig(edge_dim=edge_dim, restarts=restarts, max_iters=1))
-        assert seen == sizes
+        for budget, want in ((2 * 81 * 66, sizes), (optimize._STACK_ENTRIES, [restarts])):
+            monkeypatch.setattr(optimize, "_STACK_ENTRIES", budget)
+            seen.clear()
+            seesaw_optimize(f, SeesawConfig(edge_dim=edge_dim, restarts=restarts, max_iters=1))
+            assert seen == want
 
     def test_fixed_density_stack_size_follows_the_rank(self, monkeypatch):
-        # A fixed (D, r) factor's stack holds R x T x D x r entries: at D = 64
-        # and r = 16 all ten restarts fit one stack, where the free state's
-        # 128^2 // D^2 = 4 would split them into 4, 4 and 2.
+        # A fixed (D, r) factor's stack holds R x T x D x r entries: at D = 64,
+        # T = 2 and r = 16 a budget of 2^20 holds 512 restarts, so all ten
+        # run in one stack.
         f = build_functional(Kind.STAR, 2, 3)
         rho = network_product_state(
             [random_two_qubit_density(3 + k, r) for k, r in enumerate((1, 4, 4))]
@@ -368,11 +372,14 @@ class TestLockstep:
         "kind,m,n,edge_dim,restarts",
         [
             (Kind.CHSH, 2, 1, 2, 4),
-            # D = 81 runs its restarts in stacks of 128^2 // 81^2 = 2.
+            # D = 81 runs its restarts in stacks of 2 under this budget.
             (Kind.BILOCAL, 2, 2, 3, 3),
         ],
     )
-    def test_best_restart_is_the_first_maximum(self, kind, m, n, edge_dim, restarts):
+    def test_best_restart_is_the_first_maximum(
+        self, monkeypatch, kind, m, n, edge_dim, restarts
+    ):
+        monkeypatch.setattr(optimize, "_STACK_ENTRIES", 2 * 81 * 66)
         f = build_functional(kind, m, n)
         cfg = SeesawConfig(edge_dim=edge_dim, restarts=restarts, seed=5)
         stack, _ = lockstep_runs(f, cfg)
@@ -440,9 +447,10 @@ def assert_kernel_matches(states, ops, expected):
             assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
-def assert_top_eigvec_matches_dense_eigh(dims):
+def assert_top_eigvec_matches_dense_eigh(dims, in_stack):
     """_top_eigvec of a random xi m=3 n=2 Bell operator on slots ``dims``
-    against the top eigenvalue of the operator built densely."""
+    against the top eigenvalue of the operator built densely. ``in_stack``
+    also solves it as row 1 of a two-row stack, which must give its bits."""
     f = build_functional(Kind.XI, 3, 2)
     ws = _Workspace(dims)
     edge, central, psi = random_setting(f, dims, seed=5)
@@ -450,6 +458,11 @@ def assert_top_eigvec_matches_dense_eigh(dims):
     w = np.random.default_rng(6).standard_normal(f.n_terms)
     g = sum(wi * tensor_all([op[i] for op in ops]) for i, wi in enumerate(w))
     vec = _top_eigvec(ws, stacked(ops), w[None], psi[None])[0]
+    if in_stack:
+        other_edge, other_central, other_psi = random_setting(f, dims, seed=7)
+        pair = [np.stack(p) for p in zip(slot_ops(f, other_edge, other_central), ops)]
+        both = _top_eigvec(ws, pair, np.stack([w[::-1], w]), np.stack([other_psi, psi]))
+        assert np.array_equal(both[1], vec)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     top = np.linalg.eigvalsh(g)[-1]
     assert np.vdot(vec, g @ vec).real == pytest.approx(top, rel=1e-10)
@@ -533,7 +546,7 @@ class TestBatchedKernel:
             assert np.allclose(one[t], dense @ x[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "dims,lanczos",
+        "dims,in_stack",
         [
             ((3, 3, 9), False),
             ((5, 5, 21), True),
@@ -541,10 +554,9 @@ class TestBatchedKernel:
             ((3, 3, 15), True),
         ],
     )
-    def test_top_eigvec_matches_dense_eigh(self, dims, lanczos):
-        # 2 * 2 * 32 = 128 is the dense limit itself; 135 and 525 lie above it.
-        assert (np.prod(dims) > _DENSE_EIG_LIMIT) == lanczos
-        assert_top_eigvec_matches_dense_eigh(dims)
+    def test_top_eigvec_matches_dense_eigh(self, dims, in_stack):
+        # One warm Lanczos path at every D: 81, 525, 128 and 135.
+        assert_top_eigvec_matches_dense_eigh(dims, in_stack)
 
     def test_lanczos_is_reproducible_on_a_degenerate_top(self):
         # A threefold top eigenvalue: the Krylov space from the start vector
@@ -703,9 +715,9 @@ class TestLanczos:
         top = np.zeros(300, dtype=complex)
         top[-1] = 1j
         apply, calls = counted(lambda v: d * v)
-        theta, y = _extreme_eig(apply, 300, "LA", top)
+        theta, y = _lanczos_top(lambda v, rows: apply(v[0])[None], top[None])
         assert calls == [300]
-        assert theta == 1.0 and np.array_equal(y, top)
+        assert theta[0] == 1.0 and np.array_equal(y[0], top)
 
     def test_raises_when_the_matvec_budget_runs_out(self, monkeypatch):
         monkeypatch.setattr(optimize, "_LANCZOS_MATVECS", 10)
@@ -714,6 +726,96 @@ class TestLanczos:
         with pytest.raises(RuntimeError, match="10 matvecs"):
             _extreme_eig(apply, 300, "SA")
         assert len(calls) == 10
+
+
+def hermitian_stack(total, rows, clustered=()):
+    """(rows, D, D) random Hermitian matrices and their (rows, D, D)
+    eigenvectors, in ascending order of eigenvalue; each row listed in
+    ``clustered`` gets a top cluster of eight eigenvalues within 1e-6."""
+    rng = np.random.default_rng(total + rows)
+    q = np.linalg.qr(rng.standard_normal((rows, total, total, 2)) @ [1, 1j])[0]
+    vals = np.sort(rng.standard_normal((rows, total)), axis=-1)
+    for r in clustered:
+        vals[r, -8:] = vals[r, -1] - 1e-7 * np.arange(8)[::-1]
+    return (q * vals[:, None, :]) @ np.swapaxes(q.conj(), 1, 2), q
+
+
+def batched(a, seen=None):
+    """apply(x, rows) of the stack a, one batched matvec per row; ``seen``
+    collects the stack height of each call."""
+
+    def apply(x, rows):
+        if seen is not None:
+            seen.append(len(rows))
+        return (a[rows] @ x[..., None])[..., 0]
+
+    return apply
+
+
+def start_vectors(rows, total):
+    return np.random.default_rng(rows * total).standard_normal((rows, total, 2)) @ [1, 1j]
+
+
+class TestStackedLanczos:
+    """``_lanczos_top`` on a leading stack of R Hermitian maps."""
+
+    @pytest.mark.parametrize("total", [4, 16, 64, 135, 1024])
+    def test_matches_dense_eigh(self, total):
+        clustered = (1,) if total >= 16 else ()
+        a, vecs = hermitian_stack(total, 2, clustered)
+        theta, y = _lanczos_top(batched(a), start_vectors(2, total))
+        for r in range(2):
+            top = np.linalg.eigvalsh(a[r])[-1]
+            scale = max(1.0, abs(theta[r]))
+            assert abs(theta[r] - top) <= 1e-12 * scale
+            assert np.linalg.norm(y[r]) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(a[r] @ y[r] - theta[r] * y[r]) <= tol.LANCZOS_RESIDUAL * scale
+            if r not in clustered:
+                assert abs(np.vdot(vecs[r, :, -1], y[r])) == pytest.approx(1.0, abs=1e-10)
+
+    def test_stack_equals_one_row_solves(self):
+        # Row 1 starts at an eigenvector, not the top one, and leaves after
+        # one matvec; row 2 has an eight-fold top cluster. Each row's bits
+        # are those of its own one-row solve.
+        total = 200
+        a, vecs = hermitian_stack(total, 3, clustered=(2,))
+        v = start_vectors(3, total)
+        v[1] = vecs[1, :, 3]
+        seen = []
+        theta, y = _lanczos_top(batched(a, seen), v)
+        assert seen[:2] == [3, 2] and seen == sorted(seen, reverse=True)
+        for r in range(3):
+            theta_r, y_r = _lanczos_top(batched(a[r : r + 1]), v[r : r + 1])
+            assert theta[r] == theta_r[0] and np.array_equal(y[r], y_r[0])
+
+    def test_rows_leave_at_their_own_steps(self):
+        # A start in the span of two eigenvectors converges after two
+        # matvecs, one in the span of five after a few more, and a generic
+        # start later still. Each row
+        # leaves the stack when it converges, and the rest keep stepping.
+        total = 150
+        a, vecs = hermitian_stack(total, 3)
+        v = start_vectors(3, total)
+        v[0] = vecs[0, :, -2:] @ [0.6, 0.8]
+        v[1] = vecs[1, :, -5:] @ np.linspace(1.0, 2.0, 5)
+        counts = []
+        for r in range(3):
+            one = []
+            _lanczos_top(batched(a[r : r + 1], one), v[r : r + 1])
+            counts.append(len(one))
+        assert counts[0] == 2 and counts[0] < counts[1] < counts[2]
+        seen = []
+        _lanczos_top(batched(a, seen), v)
+        steps = [counts[0], counts[1] - counts[0], counts[2] - counts[1]]
+        assert seen == [3] * steps[0] + [2] * steps[1] + [1] * steps[2]
+
+    def test_raises_when_the_matvec_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_LANCZOS_MATVECS", 10)
+        a, _ = hermitian_stack(300, 2)
+        seen = []
+        with pytest.raises(RuntimeError, match="10 matvecs"):
+            _lanczos_top(batched(a, seen), start_vectors(2, 300))
+        assert seen == [2] * 10
 
 
 class TestVectorModel:
