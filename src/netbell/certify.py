@@ -34,6 +34,7 @@ from .functionals import (
     build_functional,
     combine,
 )
+from . import optimize
 from .optimize import (
     SEESAW_WORK_BUDGET,
     TOTAL_DIMENSION_GUARD,
@@ -238,19 +239,25 @@ def _draw_seeds(
     return out
 
 
-def _fixed_state_max(
-    f: Functional, state: QuantumState, restarts: int, seed: int
-) -> float:
-    """Seesaw over the observables with the state held fixed.
+def _fixed_state_values(
+    f: Functional, pairs: Sequence[tuple[QuantumState, int]], restarts: int
+) -> np.ndarray:
+    """Seesaw value of each (state, seed) pair over the observables, the
+    state held fixed: one ``seesaw_optimize`` call per factor shape.
 
     Every observable ranges over all Hermitian involutions (so +-I too),
     and the central one acts on the whole 2^n-dimensional central slot,
-    not only on products of per-source qubit observables. The value is
-    the best of ``restarts`` local optima: a lower bound on the maximum
-    over that class, not the maximum itself. Its cost scales with the
-    rank r of the state, which the seesaw carries as a (D, r) factor."""
-    cfg = SeesawConfig(restarts=restarts, seed=seed, tol=1e-13, max_iters=_SCAN_ITERS)
-    return seesaw_optimize(f, cfg, fixed_state=state).value
+    not only on products of per-source qubit observables. A value is the
+    best of ``restarts`` local optima: a lower bound on the maximum over
+    that class, not the maximum itself. Its cost scales with the rank r of
+    the state, which the seesaw carries as a (D, r) factor."""
+    cfg, groups = SeesawConfig(restarts=restarts, tol=1e-13, max_iters=_SCAN_ITERS), {}
+    for i, (state, _) in enumerate(pairs):
+        groups.setdefault(state.factor.shape, []).append(i)
+    values = np.empty(len(pairs))
+    for rows in groups.values():
+        values[rows] = [res.value for res in seesaw_optimize(f, cfg, [pairs[i] for i in rows])]
+    return values
 
 
 def correspondence_scan(
@@ -323,19 +330,26 @@ def correspondence_scan(
         edges = horodecki_chsh_max(rho).reshape(trials, n)
         network = bilocal_max_pair(rho[0::2], rho[1::2])
     else:
+        # A network row holds T D r <= T 16^n entries, so a chunk's network
+        # restarts fit one stack. Each trial draws its states, each xi edge
+        # seed, then the network seed, as a trial run alone does.
+        chunk = max(1, optimize._STACK_ENTRIES // (edge_restarts * f.n_terms * 16**n))
+        edge_f = build_functional(Kind.CHAINED, f.m, 1) if f.kind is Kind.XI else None
         edges, network = np.empty((trials, n)), np.empty(trials)
-        for t, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            states = [random_two_qubit_density(*d) for d in _draw_seeds(rng, n, ranks)]
-            if f.kind is Kind.XI:
-                edge_f = build_functional(Kind.CHAINED, f.m, 1)
-                edges[t] = [_fixed_state_max(edge_f, s, edge_restarts, int(rng.integers(2**63)))
-                            for s in states]
-            else:
-                edges[t] = [horodecki_chsh_max(s) for s in states]
-            network[t] = _fixed_state_max(
-                f, network_product_state(states), edge_restarts, int(rng.integers(2**63))
-            )
+        for lo in range(0, trials, chunk):
+            edge_pairs, network_pairs = [], []
+            for t in range(lo, min(lo + chunk, trials)):
+                rng = np.random.default_rng(children[t])
+                states = [random_two_qubit_density(*d) for d in _draw_seeds(rng, n, ranks)]
+                if edge_f is None:
+                    edges[t] = [horodecki_chsh_max(s) for s in states]
+                else:
+                    edge_pairs += [(s, int(rng.integers(2**63))) for s in states]
+                network_pairs.append((network_product_state(states), int(rng.integers(2**63))))
+            if edge_pairs:
+                values = _fixed_state_values(edge_f, edge_pairs, edge_restarts)
+                edges[lo : lo + chunk] = values.reshape(-1, n)
+            network[lo : lo + chunk] = _fixed_state_values(f, network_pairs, edge_restarts)
 
     # float_power is C pow, as Python's ``**`` is.
     bound = np.prod(np.float_power(edges, 1.0 / n), axis=1)

@@ -293,25 +293,30 @@ def _seesaw_lockstep(
     Each restart draws its start from its own generator and makes the moves
     a lone restart makes, in the same order, accepting each through a mask;
     it leaves the stack once converged. Returns each restart's (value, ket,
-    edge, central, history, converged) in generator order, bit for bit as alone.
+    edge, central, history, converged) in generator order, bit for bit as
+    alone; arrays are copies, so a result does not pin the stack. The state
+    is an (R, D, r) stack: a fixed (D, r) or (R, D, r) ``factor`` enters as a
+    C-contiguous copy per row, its ket returned as None; with ``factor``
+    None each restart draws a pure start and the state step runs.
 
     Each observable move is valued from the steering stack that chose it,
     so a sweep makes n + 1 slot contractions for its n edge moves and the
     central one; a free-state sweep adds its eigensolve and line search.
     ``score`` contracts the whole state only for the first value and the
     line search's candidates."""
-    dims, total, starts = ws.dims, math.prod(ws.dims), []
+    dims, total, starts, free = ws.dims, math.prod(ws.dims), [], factor is None
     for rng in rngs:
         start = [np.array([_random_involution(d, rng) for _ in range(f.m)]) for d in dims[:-1]]
         start.append(np.array([_random_involution(dims[-1], rng) for _ in range(f.n_terms)]))
-        if factor is None:
+        if free:
             psi = rng.standard_normal(total) + 1j * rng.standard_normal(total)
             start.append((psi / np.linalg.norm(psi))[:, None])
         starts.append(start)
     stacks = [np.array(s) for s in zip(*starts)]
-    # A fixed factor is one entry that broadcasts over the stack, in its own
-    # memory layout: the contractions' summation order follows it.
-    *edge, central, ket = stacks if factor is None else stacks + [factor[None]]
+    if not free:  # the contractions' summation order follows the memory layout
+        rows = np.broadcast_to(factor, (len(rngs), *factor.shape[-2:]))
+        stacks.append(np.ascontiguousarray(rows))
+    *edge, central, ket = stacks
 
     def score(ket, ops):
         corr = _correlators(ws, ket, ops)
@@ -323,7 +328,7 @@ def _seesaw_lockstep(
     for sweep in range(cfg.max_iters):
         before = value
         w = _weights(f, corr)
-        if factor is None:
+        if free:
             # Top eigenvector of the linearized Bell operator, damped by a
             # line search on the true objective: root-sum combiners are
             # concave in the correlators, so the full jump can overshoot.
@@ -362,22 +367,21 @@ def _seesaw_lockstep(
         for j, i in enumerate(alive):
             histories[i].append(value[j])
             if done[j]:
-                runs[i] = (value[j], ket[j] if factor is None else factor, [e[j] for e in edge],
-                           ops[-1][j], histories[i], bool(converged[j]))
+                runs[i] = (value[j], ket[j].copy() if free else None, [e[j].copy() for e in edge],
+                           ops[-1][j].copy(), histories[i], bool(converged[j]))
         if done.all():
             break
         keep = ~done
-        alive, corr, value, *edge = [a[keep] for a in (alive, corr, value, *edge)]
+        alive, corr, value, ket, *edge = [a[keep] for a in (alive, corr, value, ket, *edge)]
         ops = [op[keep] for op in ops]
-        ket = ket[keep] if factor is None else ket
     return runs
 
 
 def seesaw_optimize(
     f: Functional,
     cfg: SeesawConfig | None = None,
-    fixed_state: QuantumState | None = None,
-) -> OptimizationResult:
+    fixed_state: QuantumState | Sequence[tuple[QuantumState, int]] | None = None,
+) -> OptimizationResult | list[OptimizationResult]:
     """Best-of-restarts alternating optimization of a functional.
 
     With ``fixed_state`` (pure or density) only the observables are
@@ -388,18 +392,27 @@ def seesaw_optimize(
     nondecreasing; a restart that fails to make progress is reported with
     ``converged=False``. The first restart with the best value is returned.
 
-    Restarts run in seed order as lockstep stacks of max(1, 2^20 // (D c))
-    at total dimension D, with c = 64 + T for the free state (its Krylov
-    bases, their images and one apply of the T terms) and c = T r for a
-    fixed (D, r) factor. Each restart's result is the same either way.
+    ``fixed_state`` may also be (state, seed) pairs of one layout and factor
+    shape: one result per pair, each that state's own call at cfg.seed = seed.
+
+    Restarts run in seed order, pair after pair, as lockstep stacks of
+    max(1, 2^20 // (D c)) at total dimension D, with c = 64 + T for the free
+    state (its Krylov bases, their images and one apply of the T terms) and
+    c = T r for a fixed (D, r) factor; a stack may hold several states'
+    rows. Each restart's result is the same either way.
 
     TooLarge is raised, before any generator is spawned, above total
-    dimension TOTAL_DIMENSION_GUARD or when restarts x max_iters x D^2
-    exceeds SEESAW_WORK_BUDGET.
+    dimension TOTAL_DIMENSION_GUARD or when states x restarts x max_iters x
+    D^2 exceeds SEESAW_WORK_BUDGET.
     """
     cfg = cfg or SeesawConfig()
-    if fixed_state is not None:
-        dims = tuple(fixed_state.subsystem_dims)
+    one = fixed_state is None or isinstance(fixed_state, QuantumState)
+    pairs = [(fixed_state, cfg.seed)] if one else list(fixed_state)
+    if not pairs:
+        raise InvalidInput("need at least one fixed state")
+    states, free = [state for state, _ in pairs], fixed_state is None
+    if not free:
+        dims = tuple(states[0].subsystem_dims)
         if len(dims) != f.n + 1:
             raise InvalidInput(f"fixed state must have {f.n + 1} slots, got {len(dims)}")
     else:
@@ -407,29 +420,32 @@ def seesaw_optimize(
     total = math.prod(dims)
     if total > TOTAL_DIMENSION_GUARD:
         raise TooLarge(f"total dimension {total} exceeds guard {TOTAL_DIMENSION_GUARD}")
-    work = cfg.restarts * cfg.max_iters * total**2
+    work = len(pairs) * cfg.restarts * cfg.max_iters * total**2
     if work > SEESAW_WORK_BUDGET:
-        raise TooLarge(
-            f"seesaw work {work} (restarts x iterations x D^2) exceeds budget {SEESAW_WORK_BUDGET}"
-        )
+        raise TooLarge(f"seesaw work {work} (states x restarts x iterations x D^2) "
+                       f"exceeds budget {SEESAW_WORK_BUDGET}")
+    if not free and len({(s.subsystem_dims, s.factor.shape) for s in states}) > 1:
+        raise InvalidInput("fixed states must share subsystem dims and factor shape")
 
-    factor = None if fixed_state is None else fixed_state.factor
-    ws = _Workspace(dims)
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
-    # A stack of R restarts holds R x D x c entries: Krylov bases, images and
-    # an apply for the free state, a fixed (D, r) factor's contractions.
-    cols = 2 * _LANCZOS_BASIS + f.n_terms if factor is None else f.n_terms * factor.shape[1]
-    size = max(1, _STACK_ENTRIES // (total * cols))
-    runs = [run for i in range(0, len(rngs), size)
-            for run in _seesaw_lockstep(f, ws, rngs[i : i + size], cfg, factor)]
-    # max keeps the first of equal values: the earliest best restart.
-    value, ket, edge, central, history, converged = max(runs, key=lambda run: run[0])
-    state = QuantumState.pure(ket[:, 0], dims) if fixed_state is None else fixed_state
-    return OptimizationResult(
-        value=float(value), state=state, observables=_assignment(edge, central),
-        iterations=len(history) - 1, converged=converged,
-        history=tuple(float(v) for v in history),
-    )
+    ws, restarts = _Workspace(dims), cfg.restarts
+    rngs = [np.random.default_rng(c) for _, seed in pairs
+            for c in np.random.SeedSequence(seed).spawn(restarts)]
+    cols = 2 * _LANCZOS_BASIS + f.n_terms if free else f.n_terms * states[0].factor.shape[1]
+    size, runs = max(1, _STACK_ENTRIES // (total * cols)), []
+    for i in range(0, len(rngs), size):
+        rows = range(i, min(i + size, len(rngs)))
+        stack = None if free else np.array([states[j // restarts].factor for j in rows])
+        runs += _seesaw_lockstep(f, ws, rngs[i : i + size], cfg, stack)
+    results = []
+    for p, state in enumerate(states):
+        # max keeps the first of equal values: the earliest best restart.
+        value, ket, edge, central, history, converged = max(
+            runs[p * restarts : (p + 1) * restarts], key=lambda run: run[0])
+        results.append(OptimizationResult(
+            value=float(value), state=QuantumState.pure(ket[:, 0], dims) if free else state,
+            observables=_assignment(edge, central), iterations=len(history) - 1,
+            converged=converged, history=tuple(float(v) for v in history)))
+    return results[0] if one else results
 
 
 def _assignment(edge, central) -> ObservableAssignment:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -482,6 +483,32 @@ def reference_bilocal_scan(trials, seed, ranks):
     return np.array(edges), np.array(network), np.array(bound), np.subtract(bound, network)
 
 
+def reference_scan(f, trials, seed, edge_restarts, ranks):
+    """Per-trial star or xi scan: each edge and network value from its own
+    one-state ``seesaw_optimize`` call, drawn in the scan's order. Returns
+    each trial's (edge values, network value, bound, margin)."""
+    cfg = SeesawConfig(restarts=edge_restarts, tol=1e-13, max_iters=certify_mod._SCAN_ITERS)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        states = [random_two_qubit_density(*d) for d in _draw_seeds(rng, f.n, ranks)]
+        if f.kind is Kind.XI:
+            edge_f = build_functional(Kind.CHAINED, f.m, 1)
+            edges = tuple(seesaw_optimize(edge_f, replace(cfg, seed=int(rng.integers(2**63))), s).value
+                          for s in states)
+        else:
+            edges = tuple(horodecki_chsh_max(s) for s in states)
+        net_cfg = replace(cfg, seed=int(rng.integers(2**63)))
+        network = seesaw_optimize(f, net_cfg, network_product_state(states)).value
+        bound = float(np.prod([e ** (1.0 / f.n) for e in edges]))
+        out.append((edges, network, bound, bound - network))
+    return out
+
+
+def scan_rows(rep):
+    return [(r.edge_values, r.network_value, r.bound, r.margin) for r in rep.results]
+
+
 class TestCorrespondenceScan:
     @pytest.mark.parametrize("ranks", [(1, 2), (1, 2, 3, 4)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -495,6 +522,43 @@ class TestCorrespondenceScan:
         for a, b in zip(got, reference_bilocal_scan(300, seed, ranks)):
             assert np.array_equal(a, b)
         assert all(type(v) is float for r in rep.results for v in (*r.edge_values, r.margin))
+
+    @pytest.mark.parametrize("ranks", [(1,), (1, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind,m,n", [(Kind.STAR, 2, 2), (Kind.STAR, 2, 3), (Kind.XI, 3, 2)])
+    def test_stacked_scan_matches_per_trial_reference(self, kind, m, n, seed, ranks):
+        f = build_functional(kind, m, n)
+        rep = correspondence_scan(f, 3, seed, edge_restarts=2, ranks=ranks)
+        assert scan_rows(rep) == reference_scan(f, 3, seed, 2, ranks)
+
+    @pytest.mark.parametrize("kind,m,n", [(Kind.STAR, 2, 2), (Kind.XI, 3, 2)])
+    def test_scan_records_do_not_depend_on_chunks_or_stacks(self, monkeypatch, kind, m, n):
+        # One row per lockstep stack, then chunks of two trials: the same
+        # rows as one chunk, from more seesaw_optimize calls.
+        f = build_functional(kind, m, n)
+        want = scan_rows(correspondence_scan(f, 3, 4, edge_restarts=2, ranks=(1, 4)))
+        real, calls, stacks = certify_mod.seesaw_optimize, [], []
+        real_lockstep = op._seesaw_lockstep
+
+        def recording(g, cfg, pairs):
+            calls.append((g, len(pairs)))
+            return real(g, cfg, pairs)
+
+        def stacked(g, ws, rngs, cfg, factor):
+            stacks.append(len(rngs))
+            return real_lockstep(g, ws, rngs, cfg, factor)
+
+        monkeypatch.setattr(certify_mod, "seesaw_optimize", recording)
+        monkeypatch.setattr(op, "_seesaw_lockstep", stacked)
+        for entries, per_chunk in ((1, 1), (2 * 2 * f.n_terms * 16**n, 2)):
+            monkeypatch.setattr(op, "_STACK_ENTRIES", entries)
+            calls.clear()
+            stacks.clear()
+            assert scan_rows(correspondence_scan(f, 3, 4, edge_restarts=2, ranks=(1, 4))) == want
+            network = [count for g, count in calls if g is f]
+            assert len(calls) > 1 and sum(network) == 3 and max(network) <= per_chunk
+            if per_chunk == 1:
+                assert set(stacks) == {1}
 
     def test_bilocal_pure_pairs(self):
         rep = correspondence_scan(build_functional(Kind.BILOCAL, 2, 2), trials=200, seed=7)

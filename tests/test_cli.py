@@ -990,18 +990,22 @@ class TestUsage:
 
     def test_record_does_not_depend_on_the_blas_thread_count(self):
         # D = 81 with a degenerate top: every state step is one stacked
-        # Lanczos solve, whose products are batched per restart, so one and
-        # two BLAS threads write the same record.
-        records = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": str(Path(netbell.__file__).parents[1]),
-                   "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
-            argv = "optimize --expr bilocal --dim 3 --seed 2".split()
-            run = subprocess.run([sys.executable, "-m", "netbell.cli", *argv], env=env,
-                                 capture_output=True, text=True, check=True)
-            records.append({k: v for k, v in json.loads(run.stdout).items()
-                            if k != "wall_time_ms"})
-        assert records[0] == records[1]
+        # Lanczos solve, whose products are batched per restart. The mixed
+        # star scan stacks both trials' fixed-state restarts; its second
+        # trial violates the bound (ROADMAP open item 3), so it exits 6. One
+        # and two BLAS threads write the same records.
+        for command, code in (("optimize --expr bilocal --dim 3 --seed 2", 0),
+                              ("correspondence --family star --n 3 --ranks 1,4 --trials 2", 6)):
+            records = []
+            for threads in ("1", "2"):
+                env = {**os.environ, "PYTHONPATH": str(Path(netbell.__file__).parents[1]),
+                       "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+                run = subprocess.run([sys.executable, "-m", "netbell.cli", *command.split()],
+                                     env=env, capture_output=True, text=True)
+                assert run.returncode == code, run.stderr
+                records.append({k: v for k, v in json.loads(run.stdout).items()
+                                if k != "wall_time_ms"})
+            assert records[0] == records[1], command
 
     def test_no_command_exit_2(self, capsys):
         assert run_cli(capsys, )[0] == 2

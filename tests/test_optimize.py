@@ -164,6 +164,21 @@ class TestSeesaw:
         with pytest.raises(InvalidInput, match="fixed state must have 4 slots, got 3"):
             seesaw_optimize(f, SeesawConfig(restarts=1), fixed_state=rho)
 
+    def test_fixed_states_must_share_one_shape(self, monkeypatch):
+        f = build_functional(Kind.STAR, 2, 2)
+        pure, mixed = (network_product_state([random_two_qubit_density(k, r) for k in range(2)])
+                       for r in (1, 2))
+        cfg = SeesawConfig(restarts=1, max_iters=2)
+        with pytest.raises(InvalidInput, match="share subsystem dims and factor shape"):
+            seesaw_optimize(f, cfg, [(pure, 0), (mixed, 1)])
+        with pytest.raises(InvalidInput, match="at least one fixed state"):
+            seesaw_optimize(f, cfg, [])
+        # The work guard counts every state's restarts.
+        monkeypatch.setattr(optimize, "SEESAW_WORK_BUDGET", 2 * 2 * 16**2)
+        assert len(seesaw_optimize(f, cfg, [(pure, 0), (pure, 1)])) == 2
+        with pytest.raises(TooLarge, match=r"states x restarts"):
+            seesaw_optimize(f, cfg, [(pure, 0), (pure, 1), (pure, 2)])
+
     def test_chsh_fixed_point_anticommutation(self):
         _, res = run_seesaw(Kind.CHSH, 2, 1)
         x1 = res.observables.edge[0][0].matrix
@@ -292,6 +307,37 @@ class TestLockstep:
         stack, alone = lockstep_runs(f, SeesawConfig(restarts=4, max_iters=20, seed=1), rho)
         assert {run[5] for run in stack} == {True, False}
         assert_stack_equals_slices(stack, alone)
+
+    def test_fixed_states_in_one_stack_equal_their_own_calls(self, monkeypatch):
+        # Three (64, 16) factors x 2 restarts share one lockstep stack; each
+        # state's result equals its one-state call bit for bit.
+        f = build_functional(Kind.STAR, 2, 3)
+        states = [
+            network_product_state([random_two_qubit_density(7 * s + k, r)
+                                   for k, r in enumerate((1, 4, 4))])
+            for s in range(3)
+        ]
+        assert all(rho.factor.shape == (64, 16) for rho in states)
+        real, seen = optimize._seesaw_lockstep, []
+
+        def recording(f, ws, rngs, cfg, factor):
+            seen.append(len(rngs))
+            return real(f, ws, rngs, cfg, factor)
+
+        monkeypatch.setattr(optimize, "_seesaw_lockstep", recording)
+        cfg = SeesawConfig(restarts=2, max_iters=30)
+        pairs = [(rho, 11 + s) for s, rho in enumerate(states)]
+        stacked = seesaw_optimize(f, cfg, pairs)
+        assert seen == [6]
+        for got, (rho, seed) in zip(stacked, pairs):
+            want = seesaw_optimize(f, SeesawConfig(restarts=2, max_iters=30, seed=seed), rho)
+            assert got.state is rho and got.value == want.value
+            assert got.history == want.history and got.converged == want.converged
+            for a, b in zip(got.observables.edge, want.observables.edge):
+                assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
+            assert all(np.array_equal(x.matrix, y.matrix)
+                       for x, y in zip(got.observables.central, want.observables.central))
+        assert len({res.value for res in stacked}) == 3
 
     @settings(max_examples=6, deadline=None)
     @given(
